@@ -8,7 +8,9 @@ closed form — singular values from trace/determinant, the PSD square root of a
 eigensolver sits on the hot path.
 
 A ``CMat2`` is simply a (2, 2) complex ``numpy`` array; ``CVec2`` a length-2
-complex array.  Helpers below validate and coerce.
+complex array.  Helpers below validate and coerce.  ``op_norm``, ``inv2`` and
+``pi_map`` also take an (n, 2, 2) stack, and give for each of its matrices
+exactly what they give for that matrix alone.
 """
 from __future__ import annotations
 
@@ -30,27 +32,83 @@ def mat2(a11, a12, a21, a22) -> CMat2:
     return np.array([[a11, a12], [a21, a22]], dtype=complex)
 
 
-def as_cmat2(A) -> CMat2:
-    """Coerce to a finite 2x2 complex array, validating shape and finiteness."""
+def as_cmat2(A, stack: bool = False) -> CMat2:
+    """Coerce to a finite 2x2 complex array, validating shape and finiteness.
+
+    With ``stack`` an (n, 2, 2) stack of such matrices is accepted as well.
+    """
     M = np.asarray(A, dtype=complex)
-    if M.shape != (2, 2):
+    if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-2:] != (2, 2):
         raise BadShape(f"expected a 2x2 matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise BadShape("matrix entries must be finite")
     return M
 
 
-def op_norm(A) -> float:
-    """Largest singular value of a 2x2 matrix, in closed form.
+def _complex(re, im):
+    """The complex array re + i im, signed zeros kept."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(a, b):
+    """Complex product a * b, elementwise, rounded as Python's complex
+    product rounds it: four real products and two sums.  NumPy's own array
+    product can differ in the last bit; going through this keeps each of n
+    stacked results bit-identical to the result for that element alone.
+    Scalars take their own complex product."""
+    if np.isscalar(a) and np.isscalar(b):
+        return a * b
+    return _complex(
+        a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    )
+
+
+def _cdiv(a, b):
+    """Complex quotient a / b, elementwise, by Smith's algorithm in the
+    operation order of Python's complex division (see :func:`_cmul`)."""
+    if np.isscalar(a) and np.isscalar(b):
+        return complex(a) / complex(b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+        denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        return _complex(
+            np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom,
+            np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom,
+        )
+
+
+def _entries(M):
+    """(m11, m12, m21, m22) of a 2x2 matrix as scalars, or of an (n, 2, 2)
+    stack as four arrays."""
+    return tuple(M.reshape(M.shape[:-2] + (4,)).T)
+
+
+def _det(m11, m12, m21, m22):
+    return _cmul(m11, m22) - _cmul(m12, m21)
+
+
+def op_norm(A):
+    """Largest singular value of a 2x2 matrix, in closed form; for an
+    (n, 2, 2) stack, the array of the n norms.
 
     Uses s^2 = (t +/- sqrt(t^2 - 4d))/2 with t = trace(A*A) and
     d = |det A|^2; the radicand is clamped at zero to absorb rounding.
     """
-    M = as_cmat2(A)
-    t = float(np.sum(np.abs(M) ** 2))
-    d = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) ** 2
-    rad = max(t * t - 4.0 * d, 0.0)
-    return math.sqrt(max((t + math.sqrt(rad)) / 2.0, 0.0))
+    M = as_cmat2(A, stack=True)
+    s11, s12, s21, s22 = _entries(np.abs(M) ** 2)
+    t = s11 + s12 + s21 + s22
+    det = _det(*_entries(M))
+    # hypot, then pow: rounded to the last bit as Python's abs(det) ** 2
+    d = np.float_power(np.hypot(det.real, det.imag), 2.0)
+    rad = np.maximum(t * t - 4.0 * d, 0.0)
+    s = np.sqrt(np.maximum((t + np.sqrt(rad)) / 2.0, 0.0))
+    return float(s) if M.ndim == 2 else s
 
 
 def smallest_singular_value(A) -> float:
@@ -97,14 +155,19 @@ def sqrt_psd(P, tol: float = 1e-10) -> CMat2:
 
 
 def inv2(A) -> CMat2:
-    """Inverse of a 2x2 matrix via the adjugate formula."""
-    M = as_cmat2(A)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0:
+    """Inverse of a 2x2 matrix, or of each matrix in an (n, 2, 2) stack,
+    via the adjugate formula."""
+    M = as_cmat2(A, stack=True)
+    m11, m12, m21, m22 = _entries(M)
+    det = _det(m11, m12, m21, m22)
+    if np.count_nonzero(det == 0):
         raise BadShape("matrix is singular")
-    return np.array(
-        [[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex
-    ) / det
+    adj = np.empty_like(M)
+    adj[..., 0, 0] = m22
+    adj[..., 0, 1] = -m12
+    adj[..., 1, 0] = -m21
+    adj[..., 1, 1] = m11
+    return adj / np.asarray(det)[..., None, None]
 
 
 def mobius_matricial(Z, X) -> CMat2:
@@ -123,14 +186,15 @@ def mobius_matricial(Z, X) -> CMat2:
     return left @ (Xm - Zm) @ inv2(_I2 - Zm.conj().T @ Xm) @ right
 
 
-def pi_map(A) -> tuple[complex, complex, complex]:
-    """The coordinate map A -> (a11, a22, det A) onto C^3."""
-    M = as_cmat2(A)
-    return (
-        complex(M[0, 0]),
-        complex(M[1, 1]),
-        complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]),
-    )
+def pi_map(A) -> tuple:
+    """The coordinate map A -> (a11, a22, det A) onto C^3; for an (n, 2, 2)
+    stack, the three coordinate arrays."""
+    M = as_cmat2(A, stack=True)
+    m11, m12, m21, m22 = _entries(M)
+    x = (m11, m22, _det(m11, m12, m21, m22))
+    if M.ndim == 2:
+        return tuple(complex(c) for c in x)
+    return x
 
 
 def eigvals_herm2(H) -> tuple[float, float]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .autgroup import schwarz_pick_triangular
 from .errors import BadShape, Outside, TooManyPoints
@@ -80,17 +79,23 @@ def mu_scaling_oracle(A, tol: float = 1e-9) -> float:
         d = math.exp(s)
         return op_norm(mat2(M[0, 0], M[0, 1] * d, M[1, 0] / d, M[1, 1]))
 
+    return _golden_min(f, tol)
+
+
+def _golden_min(f, tol: float, budget: float = math.inf) -> float:
+    """Minimum of a unimodal f on [-12, 12]: the best point of a 121-point
+    grid brackets it, then golden-section search narrows the bracket below
+    ``tol`` or until ``budget`` evaluations of f are spent."""
     grid = np.linspace(-12.0, 12.0, 121)
     vals = [f(s) for s in grid]
     k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    evals = len(grid) + 2
+    while hi - lo > tol and evals < budget:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -99,6 +104,7 @@ def mu_scaling_oracle(A, tol: float = 1e-9) -> float:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
             fd = f(d)
+        evals += 1
     return min(fc, fd)
 
 
@@ -299,30 +305,12 @@ def bft_lower_bound(points, targets, budget: int = 4000) -> float:
         return mat2(T[0, 0], T[0, 1] * dd, T[1, 0] / dd, T[1, 1])
 
     if n == 1:
+        return _golden_min(
+            lambda s: _bft_norm(pts, [scaled(mats[0], s)]), 1e-10, budget
+        )
 
-        def f1(s: float) -> float:
-            return _bft_norm(pts, [scaled(mats[0], s)])
-
-        grid = np.linspace(-12.0, 12.0, 121)
-        vals = [f1(s) for s in grid]
-        k = int(np.argmin(vals))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = f1(c), f1(d)
-        evals = len(grid) + 2
-        while hi - lo > 1e-10 and evals < budget:
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = f1(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = f1(d)
-            evals += 1
-        return min(fc, fd)
+    # SciPy is imported here, its one use, to keep it off tetra's import path
+    from scipy.optimize import minimize
 
     def f2(s) -> float:
         return _bft_norm(pts, [scaled(mats[0], s[0]), scaled(mats[1], s[1])])

@@ -182,6 +182,29 @@ def _sym_rep_norm(x1, x2, x3) -> float:
     return math.sqrt(max((t + math.sqrt(rad)) / 2.0, 0.0))
 
 
+def _margins(x1, x2, x3):
+    """Moduli and signed margins of the quadratic criteria (3)-(6) at x.
+
+    Returns the moduli ``(|x1|, |x2|, |x3|, |x1 - conj(x2) x3|,
+    |x2 - conj(x1) x3|, |x1 x2 - x3|)`` and the margins
+    ``(m3, m3p, m4, m4p, m5, m6)``, positive strictly inside per each
+    inequality.  The arithmetic is elementwise, so the coordinates may be
+    complex scalars or equal-length complex arrays.
+    """
+    a1, a2, a3 = abs(x1), abs(x2), abs(x3)
+    cr12 = abs(x1 - x2.conjugate() * x3)
+    cr21 = abs(x2 - x1.conjugate() * x3)
+    crd = abs(x1 * x2 - x3)
+    return (a1, a2, a3, cr12, cr21, crd), (
+        (1.0 - a2 * a2) - (cr12 + crd),
+        (1.0 - a1 * a1) - (cr21 + crd),
+        1.0 - (a1 * a1 - a2 * a2 + a3 * a3 + 2.0 * cr21),
+        1.0 - (-a1 * a1 + a2 * a2 + a3 * a3 + 2.0 * cr12),
+        1.0 - (a1 * a1 + a2 * a2 - a3 * a3 + 2.0 * crd),
+        (1.0 - a3 * a3) - (cr12 + cr21),
+    )
+
+
 def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
     """Evaluate the nine equivalent membership criteria at x.
 
@@ -201,19 +224,8 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     adjoining them changes no verdict inside.
     """
     x1, x2, x3 = as_cpoint3(x)
-    a1, a2, a3 = abs(x1), abs(x2), abs(x3)
+    (a1, a2, a3, cr12, cr21, crd), (m3, m3p, m4, m4p, m5, m6) = _margins(x1, x2, x3)
     tri = is_triangular((x1, x2, x3))
-
-    cr12 = abs(x1 - x2.conjugate() * x3)   # |x1 - conj(x2) x3|
-    cr21 = abs(x2 - x1.conjugate() * x3)   # |x2 - conj(x1) x3|
-    crd = abs(x1 * x2 - x3)                # |x1 x2 - x3|
-
-    m3 = (1.0 - a2 * a2) - (cr12 + crd)
-    m3p = (1.0 - a1 * a1) - (cr21 + crd)
-    m4 = 1.0 - (a1 * a1 - a2 * a2 + a3 * a3 + 2.0 * cr21)
-    m4p = 1.0 - (-a1 * a1 + a2 * a2 + a3 * a3 + 2.0 * cr12)
-    m5 = 1.0 - (a1 * a1 + a2 * a2 - a3 * a3 + 2.0 * crd)
-    m6 = (1.0 - a3 * a3) - (cr12 + cr21)
 
     if closed:
         def ok(margin):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -244,3 +246,12 @@ def test_tol_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("TETRA_TOL", "1e-7")
     doc2 = check(capsys, "member", "member", "--point", "[0.5, 0.25, 0.5]")
     assert doc2["provenance"]["tolerances"]["margin"] == pytest.approx(1e-7)
+
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy serves only the two-node bft_lower_bound, which imports it itself
+    probe = "import sys, tetra.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

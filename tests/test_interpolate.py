@@ -32,9 +32,10 @@ from tetra.interpolate import (
     uv_vectors,
     verify_interpolant,
 )
-from tetra.linalg import eigvals_herm2, mat2, op_norm
+from tetra.linalg import eigvals_herm2, mat2, op_norm, pi_map
 from tetra.metrics import pseudohyperbolic
 from tetra.musyn import mu_diag
+from tetra.tetrablock import criterion_max, membership
 
 from conftest import random_feasible_instance, random_point_in_e
 
@@ -374,3 +375,140 @@ def test_verify_interpolant_mu_bound(rng):
     for _ in range(50):
         lam = math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         assert mu_diag(phi.lift_evaluate(lam)) <= 1.0 + 1e-8
+
+
+# --- the batched lift and audit -----------------------------------------------
+
+def disc_points(rng, n):
+    """Half uniform in area, half within 1e-4 .. 1e-1 of the circle, plus 0
+    and a point of the circle itself."""
+    r = np.concatenate([
+        np.sqrt(rng.uniform(size=n // 2)),
+        1.0 - 10.0 ** rng.uniform(-4.0, -1.0, n - n // 2),
+    ])
+    return np.append(r * np.exp(2j * np.pi * rng.uniform(size=n)), [0.0, 1j])
+
+
+def extremal_lambda0(rng, x):
+    # inside solve_schwarz's 1e-10 band around the two-quotient maximum
+    return criterion_max(x) * (1.0 + 1e-12) * np.exp(2j * np.pi * rng.uniform())
+
+
+def every_variant(rng):
+    """One interpolant of each variant and branch: both scaled-line modes,
+    Moebius transport plain and flipped, the SVD reduction with t != 0
+    (plain and flipped) and a sigma-family member."""
+    x = random_point_in_e(rng, hi=0.85)
+    a, b = max(x[:2], key=abs), min(x[:2], key=abs)
+    front, back = (a, b, x[2]), (b, a, x[2])
+    sigma = math.sqrt(all_solutions_params(-0.9, GOLD_X).xi2) * 0.9
+    phis = [
+        solve_schwarz(0.7, (0.5, 0.0, 0.1)),
+        solve_schwarz(0.7, (0.5, 0.3, 0.15)),
+        solve_schwarz(0.95j, front),
+        solve_schwarz(-0.95, back),
+        solve_schwarz(extremal_lambda0(rng, front), front, t=0.4 - 0.3j),
+        solve_schwarz(extremal_lambda0(rng, back), back, t=-0.5j),
+        solve_with_sigma(-0.9, GOLD_X, sigma),
+    ]
+    assert [(p.variant, p.mode, p.flipped) for p in phis] == [
+        ("scaled_line", "line", False), ("scaled_line", "diag", False),
+        ("mobius_blaschke", None, False), ("mobius_blaschke", None, True),
+        ("svd_reduced", None, False), ("svd_reduced", None, True),
+        ("sigma_family", None, False),
+    ]
+    return phis
+
+
+def test_lift_stack_matches_pointwise_lift(rng):
+    lams = disc_points(rng, 40)
+    for _ in range(3):
+        for phi in every_variant(rng):
+            F = phi.lift_evaluate(lams)
+            x = phi.evaluate(lams)
+            assert F.shape == (lams.size, 2, 2)
+            for k, lam in enumerate(lams):
+                Fk = phi.lift_evaluate(lam)
+                assert Fk.shape == (2, 2)
+                assert np.max(np.abs(F[k] - Fk)) <= 1e-15
+                xk = phi.evaluate(lam)
+                assert all(type(c) is complex for c in xk)
+                assert max(abs(c[k] - d) for c, d in zip(x, xk)) <= 1e-15
+
+
+def test_scalar_np2_evaluates_arrays(rng):
+    lams = disc_points(rng, 30)
+    for t in (0.0, 0.3 + 0.4j, 1.0):
+        for v2 in (0.625, 0.2 - 0.1j):
+            g = scalar_np2(0.0, 0.3, GOLD_L0, v2, t)
+            vals = g(lams)
+            assert np.array_equal(vals, [g(lam) for lam in lams])
+            assert type(g(0.2)) is complex
+    g_const = scalar_np2(0.0, 1.0, 0.5, 1.0)
+    assert np.array_equal(g_const(lams), np.ones(lams.size))
+
+
+def test_lift_rejects_a_point_outside_the_disc():
+    phi = solve_schwarz(-0.9, GOLD_X)
+    lams = np.array([0.1, 0.5j, 1.0 + 1e-9, -0.3])
+    with pytest.raises(OutsideDisc):
+        phi.lift_evaluate(lams)
+    with pytest.raises(OutsideDisc):
+        phi.evaluate(lams)
+    with pytest.raises(BadLambda):
+        phi.lift_evaluate(np.zeros((2, 2)))
+
+
+def audit_oracle(phi, samples=500, seed=0, tol=1e-9):
+    """The per-sample audit: for each sample point one lift, one value, one
+    closed membership report and one operator norm."""
+    rng = np.random.default_rng(seed)
+    n = int(samples)
+    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    radii = np.empty(n)
+    half = n // 2
+    radii[:half] = np.sqrt(rng.uniform(0.0, 1.0, half))
+    radii[half:] = 1.0 - 10.0 ** rng.uniform(-4.0, -1.0, n - half)
+    lams = radii * np.exp(1j * angles)
+
+    worst_margin = worst_norm = worst_consistency = 0.0
+    for lam in lams:
+        F = phi.lift_evaluate(lam)
+        pt = phi.evaluate(lam)
+        rep = membership(pt, closed=True, tol=tol)
+        worst_margin = max(worst_margin, -min(rep.m3, rep.m3p))
+        worst_norm = max(worst_norm, op_norm(F) - 1.0)
+        diff = np.array(pi_map(F)) - np.array(pt)
+        worst_consistency = max(worst_consistency, float(np.max(np.abs(diff))))
+
+    endpoint_zero = max(abs(c) for c in phi.evaluate(0.0))
+    endpoint_target = max(
+        abs(c - d) for c, d in zip(phi.evaluate(phi.lambda0), phi.x)
+    )
+    zero_column = float(np.max(np.abs(phi.lift_evaluate(0.0)[:, 0])))
+    fields = {
+        "endpoint_zero": endpoint_zero,
+        "endpoint_target": endpoint_target,
+        "margin_violation": max(worst_margin, 0.0),
+        "lift_norm_excess": max(worst_norm, 0.0),
+        "lift_consistency": worst_consistency,
+        "zero_column": zero_column,
+    }
+    fields["passed"] = all(v <= tol for v in fields.values())
+    return fields
+
+
+def test_verify_interpolant_agrees_with_per_sample_oracle(rng):
+    checked, verdicts = 0, set()
+    for k in range(10):
+        for phi in every_variant(rng):
+            tol = 1e-16 if k % 4 == 3 else 1e-9
+            rep = verify_interpolant(phi, samples=150, seed=k, tol=tol).to_dict()
+            ref = audit_oracle(phi, samples=150, seed=k, tol=tol)
+            assert rep["passed"] is ref["passed"]
+            for key, val in ref.items():
+                if key != "passed":
+                    assert abs(rep[key] - val) <= 1e-15, (phi.variant, key)
+            verdicts.add(rep["passed"])
+            checked += 1
+    assert checked >= 60 and verdicts == {True, False}

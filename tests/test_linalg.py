@@ -3,6 +3,8 @@ import pytest
 
 from tetra.errors import BadShape, NormTooLarge, NotPSD
 from tetra.linalg import (
+    _cdiv,
+    _cmul,
     as_cmat2,
     eigvals_herm2,
     herm_part,
@@ -123,3 +125,36 @@ def test_principal_sqrt():
     for z in (3 + 4j, -3 + 4j, -3 - 4j, 3 - 4j):
         assert principal_sqrt(z).real >= 0
         assert principal_sqrt(z) ** 2 == pytest.approx(z, abs=1e-12)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def test_complex_kernels_round_like_python(rng):
+    # the array paths reproduce Python's complex arithmetic bit for bit,
+    # signed zeros included, which keeps stacked and single results equal
+    n = 4000
+    a = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b[::7] = b[::7].real
+    b[1::7] = 1j * b[1::7].imag
+    a[2::7] = complex(0.0, -0.0)
+    assert same_bits(_cmul(a, b), [complex(p) * complex(q) for p, q in zip(a, b)])
+    assert same_bits(_cdiv(a, b), [complex(p) / complex(q) for p, q in zip(a, b)])
+
+
+def test_kernels_on_stacks_match_single_matrices(rng):
+    A = np.array([random_mat(rng, rng.uniform(0.1, 3.0)) for _ in range(300)])
+    assert same_bits(op_norm(A), [op_norm(M) for M in A])
+    assert same_bits(inv2(A), [inv2(M) for M in A])
+    x = pi_map(A)
+    assert all(same_bits(c, [pi_map(M)[k] for M in A]) for k, c in enumerate(x))
+    assert isinstance(op_norm(A[0]), float)
+    with pytest.raises(BadShape):
+        op_norm(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(BadShape):
+        as_cmat2(A)

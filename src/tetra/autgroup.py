@@ -5,7 +5,9 @@ fractional maps Psi(., x); disc automorphisms embed via ``tau`` and act on
 points from the left and right.  Together with the coordinate flip these
 generate the known automorphism group of E.  The module also provides the
 triangular-point normalisation (moving any triangular point of E to the
-origin) and the resulting explicit two-point Schwarz-Pick criterion.
+origin), the resulting explicit two-point Schwarz-Pick criterion, and the
+pseudohyperbolic distance of the disc that criterion compares against
+(re-exported by :mod:`tetra.metrics`).
 """
 from __future__ import annotations
 
@@ -24,6 +26,15 @@ from .errors import (
 from .tetrablock import CPoint3, as_cpoint3, criterion_max, is_triangular, membership
 
 _UNIMODULAR_TOL = 1e-12
+
+
+def pseudohyperbolic(lam1, lam2) -> float:
+    """Pseudohyperbolic distance |lam1 - lam2| / |1 - conj(lam1) lam2| on the
+    open unit disc, in [0, 1)."""
+    l1, l2 = complex(lam1), complex(lam2)
+    if abs(l1) >= 1.0 or abs(l2) >= 1.0:
+        raise OutsideDisc("both points must lie in the open unit disc")
+    return abs(l1 - l2) / abs(1.0 - l1.conjugate() * l2)
 
 
 @dataclass(frozen=True)
@@ -128,13 +139,6 @@ def upsilon_star(v: DiscAut) -> DiscAut:
     return DiscAut(v.omega, (v.omega * v.alpha).conjugate())
 
 
-def diamond_matrix(x):
-    """2x2 representative [[x3, -x1], [x2, -1]]: diamond corresponds to the
-    matrix product up to scale."""
-    x1, x2, x3 = as_cpoint3(x)
-    return ((x3, -x1), (x2, -1.0 + 0.0j))
-
-
 def normalize_triangular(x) -> tuple[DiscAut, DiscAut]:
     """Automorphism pair (v, chi) moving a triangular point of E to the
     origin: act_right(act_left(v, x), chi) = (0, 0, 0)."""
@@ -151,10 +155,6 @@ def normalize_triangular(x) -> tuple[DiscAut, DiscAut]:
 class SchwarzPickResult(NamedTuple):
     feasible: bool
     lhs: float
-
-
-def _disc_distance(l1: complex, l2: complex) -> float:
-    return abs(l1 - l2) / abs(1.0 - l1.conjugate() * l2)
 
 
 def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
@@ -211,4 +211,4 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
             f"closed form {lhs!r} and normalisation oracle {oracle!r} disagree"
         )
 
-    return SchwarzPickResult(lhs <= _disc_distance(l1, l2) + 1e-12, lhs)
+    return SchwarzPickResult(lhs <= pseudohyperbolic(l1, l2) + 1e-12, lhs)

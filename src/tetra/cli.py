@@ -27,7 +27,7 @@ from .interpolate import (
     solve_with_sigma,
     verify_interpolant,
 )
-from .linalg import op_norm
+from .linalg import op_norm, pi_map
 from .metrics import dist_from_origin, dist_triangular_pair
 from .musyn import SynthesisInstance, mu_diag, mu_scaling_oracle, synth_two_point
 from .tetrablock import (
@@ -69,17 +69,6 @@ def _mat2l(M) -> list:
 def _vec2l(v) -> list:
     a = np.asarray(v, dtype=complex).reshape(2)
     return [_c2l(a[0]), _c2l(a[1])]
-
-
-def _parse_complex(text: str) -> complex:
-    v = json.loads(text)
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-        isinstance(c, (int, float)) for c in v
-    ):
-        return complex(v[0], v[1])
-    raise ValueError(f"expected a number or [re, im] pair, got {text!r}")
 
 
 def _as_complex_entry(v) -> complex:
@@ -180,7 +169,7 @@ def _cmd_dist(args, tol: float):
 
 
 def _cmd_interp(args, tol: float):
-    l0 = _parse_complex(args.lambda0)
+    l0 = _as_complex_entry(json.loads(args.lambda0))
     x = _parse_point(args.point)
     seed = args.seed if args.seed is not None else 0
     feasible, margin = schwarz_feasible(l0, x)
@@ -198,7 +187,7 @@ def _cmd_interp(args, tol: float):
         if args.sigma is not None:
             phi = solve_with_sigma(l0, x, args.sigma)
         else:
-            t = _parse_complex(args.t) if args.t else 0.0
+            t = _as_complex_entry(json.loads(args.t)) if args.t else 0.0
             phi = solve_schwarz(l0, x, t=t)
     except Infeasible:
         base["feasible"] = False
@@ -235,10 +224,10 @@ def _cmd_mu(args, tol: float):
 
 
 def _cmd_synth(args, tol: float):
-    l0 = _parse_complex(args.lambda0)
+    l0 = _as_complex_entry(json.loads(args.lambda0))
     A1 = _parse_matrix(args.a1)
     A2 = _parse_matrix(args.a2)
-    zeta = _parse_complex(args.zeta) if args.zeta else None
+    zeta = _as_complex_entry(json.loads(args.zeta)) if args.zeta else None
     inst = SynthesisInstance(l0, A1, A2, zeta=zeta)
     feasible, lift = synth_two_point(inst)
     out = {
@@ -286,8 +275,7 @@ def _cmd_boundary(args, tol: float):
             G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             r = rng.uniform(0.0, 1.0)
             A = G * (r / max(op_norm(G), 1e-12))
-            y = (A[0, 0], A[1, 1], A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-            worst = max(worst, abs(g(y)))
+            worst = max(worst, abs(g(pi_map(A))))
         out["peak"] = {
             "value_at_point": _c2l(val),
             "abs_at_point": abs(val),
@@ -307,7 +295,10 @@ def _cmd_auto(args, tol: float):
     elif op in ("left", "right"):
         if args.x is None or args.omega is None or args.alpha is None:
             raise _UsageError(f"{op} needs --x, --omega and --alpha")
-        v = DiscAut(_parse_complex(args.omega), _parse_complex(args.alpha))
+        v = DiscAut(
+            _as_complex_entry(json.loads(args.omega)),
+            _as_complex_entry(json.loads(args.alpha)),
+        )
         x = _parse_point(args.x)
         res = act_left(v, x) if op == "left" else act_right(x, v)
         result = {"point": _point2l(res)}

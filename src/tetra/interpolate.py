@@ -20,10 +20,11 @@ endpoint residuals are recomputed from scratch by ``verify_interpolant``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .autgroup import pseudohyperbolic
 from .errors import (
     BadLambda,
     Extremal,
@@ -221,7 +222,7 @@ def scalar_np2(lam1, v1, lam2, v2, t=0.0):
     if abs(w1) > 1.0 or abs(w2) > 1.0:
         raise InfeasiblePick("target values must lie in the closed disc")
 
-    d_nodes = abs(l1 - l2) / abs(1.0 - l1.conjugate() * l2)
+    d_nodes = pseudohyperbolic(l1, l2)
     d_vals = abs(w1 - w2) / abs(1.0 - w1.conjugate() * w2) if abs(w1) < 1.0 else (
         0.0 if abs(w1 - w2) < 1e-12 else math.inf
     )
@@ -277,7 +278,6 @@ class Interpolant:
     t: complex = 0.0
     flipped: bool = False
     mode: str | None = None
-    workspace: SchwarzWorkspace | None = field(default=None, repr=False)
     _isqrt_w: CMat2 | None = field(default=None, repr=False)
     _sqrt_y: CMat2 | None = field(default=None, repr=False)
     _Q0: CMat2 | None = field(default=None, repr=False)
@@ -306,7 +306,7 @@ class Interpolant:
 
     def _mobius_lift(self, lam):
         X = _per_point(_blaschke0(self.lambda0, lam)) * self._Q0
-        Zm = self.workspace.Z
+        Zm = self.Z
         P = np.matmul(self._isqrt_w @ (X + Zm), inv2(_I2 + Zm.conj().T @ X))
         return _times_diag(_right_const(P, self._sqrt_y), lam)
 
@@ -417,7 +417,6 @@ def _assemble_mobius(ws: SchwarzWorkspace) -> dict:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
     Q0 = np.outer(ws.u, ws.v.conj()) / (ws.lambda0 * nu2)
     return {
-        "workspace": ws,
         "Z": Zm,
         "u": ws.u,
         "v": ws.v,
@@ -583,18 +582,7 @@ class VerificationReport:
     zero_column: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "endpoint_zero": self.endpoint_zero,
-            "endpoint_target": self.endpoint_target,
-            "margin_violation": self.margin_violation,
-            "lift_norm_excess": self.lift_norm_excess,
-            "lift_consistency": self.lift_consistency,
-            "zero_column": self.zero_column,
-        }
+        return asdict(self)
 
 
 def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,

@@ -112,12 +112,11 @@ def op_norm(A):
 
 
 def smallest_singular_value(A) -> float:
-    """Smallest singular value, same closed form as :func:`op_norm`."""
+    """Smallest singular value |det A| / op_norm(A), as the two singular
+    values multiply to |det A|; 0 for the zero matrix."""
     M = as_cmat2(A)
-    t = float(np.sum(np.abs(M) ** 2))
-    d = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) ** 2
-    rad = max(t * t - 4.0 * d, 0.0)
-    return math.sqrt(max((t - math.sqrt(rad)) / 2.0, 0.0))
+    top = op_norm(M)
+    return abs(complex(_det(*_entries(M)))) / top if top > 0.0 else 0.0
 
 
 def herm_part(P) -> CMat2:
@@ -136,11 +135,7 @@ def sqrt_psd(P, tol: float = 1e-10) -> CMat2:
     below ``-tol``.
     """
     H = herm_part(P)
-    tr = H[0, 0].real + H[1, 1].real
-    det = (H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]).real
-    # eigenvalues of a 2x2 Hermitian matrix
-    disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
-    lo = tr / 2.0 - disc
+    tr, det, (lo, _) = _herm2_spectrum(H)
     if lo < -tol:
         raise NotPSD(f"matrix has eigenvalue {lo:.3e} < -{tol:.1e}")
     sdet = math.sqrt(max(det, 0.0))
@@ -197,13 +192,18 @@ def pi_map(A) -> tuple:
     return x
 
 
+def _herm2_spectrum(H):
+    """(trace, determinant, (eigenvalues ascending)) of a Hermitian 2x2 H,
+    the eigenvalues tr/2 -+ sqrt((tr/2)^2 - det) in closed form."""
+    tr = H[0, 0].real + H[1, 1].real
+    det = (H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]).real
+    disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
+    return tr, det, (tr / 2.0 - disc, tr / 2.0 + disc)
+
+
 def eigvals_herm2(H) -> tuple[float, float]:
     """Eigenvalues (ascending) of a 2x2 Hermitian matrix, closed form."""
-    M = herm_part(H)
-    tr = M[0, 0].real + M[1, 1].real
-    det = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real
-    disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
-    return (tr / 2.0 - disc, tr / 2.0 + disc)
+    return _herm2_spectrum(herm_part(H))[2]
 
 
 def principal_sqrt(z) -> complex:

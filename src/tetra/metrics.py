@@ -11,17 +11,9 @@ from __future__ import annotations
 import math
 
 from .autgroup import act_left, act_right, normalize_triangular
-from .errors import Outside, OutsideDisc, Unsupported
+from .autgroup import pseudohyperbolic  # noqa: F401  (re-exported here)
+from .errors import Outside, Unsupported
 from .tetrablock import as_cpoint3, criterion_max, is_triangular, membership
-
-
-def pseudohyperbolic(lam1, lam2) -> float:
-    """Pseudohyperbolic distance |lam1 - lam2| / |1 - conj(lam1) lam2| on the
-    open unit disc, in [0, 1)."""
-    l1, l2 = complex(lam1), complex(lam2)
-    if abs(l1) >= 1.0 or abs(l2) >= 1.0:
-        raise OutsideDisc("both points must lie in the open unit disc")
-    return abs(l1 - l2) / abs(1.0 - l1.conjugate() * l2)
 
 
 def dist_from_origin(x) -> float:

@@ -74,12 +74,13 @@ def mu_scaling_oracle(A, tol: float = 1e-9) -> float:
     log d in [-12, 12] finds the infimum reliably.
     """
     M = as_cmat2(A)
+    return _golden_min(lambda s: op_norm(_dscale(M, s)), tol)
 
-    def f(s: float) -> float:
-        d = math.exp(s)
-        return op_norm(mat2(M[0, 0], M[0, 1] * d, M[1, 0] / d, M[1, 1]))
 
-    return _golden_min(f, tol)
+def _dscale(T, s: float):
+    """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1)."""
+    d = math.exp(s)
+    return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
 
 
 def _golden_min(f, tol: float, budget: float = math.inf) -> float:
@@ -90,11 +91,18 @@ def _golden_min(f, tol: float, budget: float = math.inf) -> float:
     vals = [f(s) for s in grid]
     k = int(np.argmin(vals))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    return _golden_section(f, lo, hi, tol, budget - len(grid))
+
+
+def _golden_section(f, lo, hi, tol: float, budget: float) -> float:
+    """Minimum of a unimodal f on [lo, hi] by golden-section search, which
+    narrows the bracket below ``tol`` or until ``budget`` evaluations of f
+    are spent."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
-    evals = len(grid) + 2
+    evals = 2
     while hi - lo > tol and evals < budget:
         if fc < fd:
             hi, d, fd = d, c, fc
@@ -280,10 +288,13 @@ def bft_lower_bound(points, targets, budget: int = 4000) -> float:
     norm of the operator sending k_{lambda_j} (x) xi to itself with block
     (D_j F_j D_j^{-1})* on the j-th kernel slot.
 
-    This is a numerical infimum (grid plus local refinement within
-    ``budget`` norm evaluations): an upper bound on the true infimum, with
-    no claim that the infimum is attained.  For a single node it reproduces
-    mu_diag of the target.
+    This is a numerical infimum within about ``budget`` norm evaluations:
+    for one node the grid and golden-section search of
+    :func:`mu_scaling_oracle` on log d; for two nodes a 41-point grid and
+    golden-section search on log d_1, each of whose probes is a
+    golden-section search on log d_2.  It is an upper bound on the true
+    infimum, with no claim that the infimum is attained.  For a single node
+    it reproduces mu_diag of the target.
     """
     pts = [complex(z) for z in points]
     mats = [as_cmat2(T) for T in targets]
@@ -300,31 +311,28 @@ def bft_lower_bound(points, targets, budget: int = 4000) -> float:
     if all(float(np.max(np.abs(T))) == 0.0 for T in mats):
         return 0.0
 
-    def scaled(T, s):
-        dd = math.exp(s)
-        return mat2(T[0, 0], T[0, 1] * dd, T[1, 0] / dd, T[1, 1])
-
     if n == 1:
         return _golden_min(
-            lambda s: _bft_norm(pts, [scaled(mats[0], s)]), 1e-10, budget
+            lambda s: _bft_norm(pts, [_dscale(mats[0], s)]), 1e-10, budget
         )
 
-    # SciPy is imported here, its one use, to keep it off tetra's import path
-    from scipy.optimize import minimize
-
-    def f2(s) -> float:
-        return _bft_norm(pts, [scaled(mats[0], s[0]), scaled(mats[1], s[1])])
-
+    # golden section on log d_1 between the grid neighbours of the best
+    # grid point, on log d_2 over [-18, 18]: the wide ranges let the
+    # scaling of a triangular target shrink its corner to e^-18 of its size.
+    # Each search gets budget / 82 evaluations: 41 grid probes and about as
+    # many refining ones keep the total near ``budget``.
     grid = np.linspace(-6.0, 6.0, 41)
-    best_val, best_s = math.inf, (0.0, 0.0)
-    for s1 in grid:
-        for s2 in grid:
-            val = f2((s1, s2))
-            if val < best_val:
-                best_val, best_s = val, (s1, s2)
-    remaining = max(budget - 41 * 41, 200)
-    res = minimize(
-        f2, np.array(best_s), method="Nelder-Mead",
-        options={"maxfev": remaining, "xatol": 1e-8, "fatol": 1e-10},
-    )
-    return float(min(best_val, res.fun))
+    search_budget = budget / (2 * len(grid))
+
+    def min_over_s2(s1: float) -> float:
+        return _golden_section(
+            lambda s2: _bft_norm(pts, [_dscale(mats[0], s1), _dscale(mats[1], s2)]),
+            -18.0, 18.0, 1e-8, search_budget,
+        )
+
+    rows = [min_over_s2(s1) for s1 in grid]
+    k = int(np.argmin(rows))
+    lo = grid[k - 1] if k > 0 else -18.0
+    hi = grid[k + 1] if k < len(grid) - 1 else 18.0
+    refined = _golden_section(min_over_s2, lo, hi, 1e-8, search_budget)
+    return float(min(rows[k], refined))

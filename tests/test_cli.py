@@ -249,7 +249,7 @@ def test_tol_env_and_flag(capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    # SciPy serves only the two-node bft_lower_bound, which imports it itself
+    # numpy is tetra's only dependency, so the CLI loads no SciPy either
     probe = "import sys, tetra.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True

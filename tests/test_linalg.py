@@ -37,6 +37,18 @@ def test_smallest_singular_value_matches_numpy(rng):
         )
 
 
+def test_smallest_singular_value_near_singular():
+    # |det A| / op_norm(A): (t - sqrt(t^2 - 4|det|^2)) / 2 cancels to 0 here
+    assert smallest_singular_value(np.diag([1.0, 1e-12])) == pytest.approx(
+        1e-12, rel=1e-12
+    )
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    assert smallest_singular_value(A) == pytest.approx(
+        np.linalg.svd(A, compute_uv=False)[-1], rel=1e-6
+    )
+    assert smallest_singular_value(np.zeros((2, 2))) == 0.0
+
+
 def test_op_norm_known_values():
     assert op_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-14)
     assert op_norm(mat2(0, 2, 0, 0)) == pytest.approx(2.0, abs=1e-14)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,3 +243,81 @@ def test_bft_lower_bound_two_points_bounded_by_solution():
 def test_bft_lower_bound_guards():
     with pytest.raises(TooManyPoints):
         bft_lower_bound([0.1, 0.2, 0.3], [ZERO, ZERO, ZERO])
+
+
+def commutant_norm(points, mats):
+    """The commutant-operator norm as a function of the log-scalings
+    (s1, s2), computed apart from tetra.musyn: the square root of the top
+    eigenvalue of the pencil (B* G B, G), where G is the Szego Gram matrix
+    (x) I2 and B the block diagonal of the adjoints of the scaled targets
+    diag(e^s_j, 1) F_j diag(e^-s_j, 1)."""
+    p = np.asarray(points, dtype=complex)
+    G = np.kron(1.0 / (1.0 - p[:, None] * p.conj()[None, :]), np.eye(2))
+    G_inv = np.linalg.inv(G)
+    F = np.asarray(mats, dtype=complex)
+
+    def norm(s1, s2):
+        B = np.zeros((4, 4), dtype=complex)
+        for j, s in enumerate((s1, s2)):
+            d = np.array([math.exp(s), 1.0])
+            B[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (d[:, None] * F[j] / d).conj().T
+        return math.sqrt(max(np.linalg.eigvals(G_inv @ B.conj().T @ G @ B).real))
+
+    return norm
+
+
+def zoomed_grid_min(f, starts=4):
+    """Minimum of f(s1, s2) by zoomed grids: a 61x61 grid on [-6, 6]^2,
+    then from each of its ``starts`` lowest local minima a 9x9 grid two
+    steps either side of the best point so far, halved in width each time
+    down to a step below 1e-8."""
+    axis = np.linspace(-6.0, 6.0, 61)
+    V = np.array([[f(a, b) for b in axis] for a in axis])
+    P = np.pad(V, 1, constant_values=np.inf)
+    local = sorted(
+        (V[i, j], i, j) for i in range(61) for j in range(61)
+        if V[i, j] <= P[i:i + 3, j:j + 3].min()
+    )
+    best = math.inf
+    for val, i, j in local[:starts]:
+        centre, half = (axis[i], axis[j]), 0.4
+        while half > 1e-8:
+            for s1 in np.linspace(centre[0] - half, centre[0] + half, 9):
+                for s2 in np.linspace(centre[1] - half, centre[1] + half, 9):
+                    v = f(s1, s2)
+                    if v < val:
+                        val, centre = v, (s1, s2)
+            half /= 2.0
+        best = min(best, val)
+    return best
+
+
+def test_bft_lower_bound_two_points_matches_zoomed_grid():
+    """On six seeded two-node instances the search reaches the minimum that
+    a multi-start zoomed grid finds for the independently computed norm:
+    bft <= (1 + 1e-12) * grid.  Measured worst case: bft / grid - 1 =
+    1.3e-15.  On the corner-shape instance the search is 4.9e-5 below the
+    grid; an axis-by-axis golden-section search reads 1.0145 there, 1.6%
+    above it, because the norm's valley is kinked and oblique to both
+    axes."""
+    rng = np.random.default_rng(61)
+    cases = [([0.0, 2 / 3 + 1e-3], [UPPER, A2_FULL])]
+    for _ in range(5):
+        z = np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+        mats = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        cases.append((list(0.8 * z), list(mats * rng.uniform(0.1, 1.0, (2, 1, 1)))))
+    for points, mats in cases:
+        grid = zoomed_grid_min(commutant_norm(points, mats))
+        assert bft_lower_bound(points, mats) <= grid * (1.0 + 1e-12)
+
+
+def test_two_node_bound_loads_no_scipy():
+    probe = (
+        "import sys, tetra; "
+        "tetra.bft_lower_bound([0.0, 0.6], [[[0, 1], [0, 0]], [[0.5, 0], [0, 0.5]]]); "
+        "print('scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

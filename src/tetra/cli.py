@@ -32,7 +32,6 @@ from .metrics import dist_from_origin, dist_triangular_pair
 from .musyn import SynthesisInstance, mu_diag, mu_scaling_oracle, synth_two_point
 from .tetrablock import (
     in_distinguished_boundary,
-    is_triangular,
     membership,
     membership_grid_oracle,
     peak_function,
@@ -269,13 +268,13 @@ def _cmd_boundary(args, tol: float):
         g = peak_function(x, tol=tol)
         val = g(x)
         rng = np.random.default_rng(0)
-        worst = 0.0
         n_samples = 200
-        for _ in range(n_samples):
-            G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            r = rng.uniform(0.0, 1.0)
-            A = G * (r / max(op_norm(G), 1e-12))
-            worst = max(worst, abs(g(pi_map(A))))
+        G, r = np.empty((n_samples, 2, 2), dtype=complex), np.empty(n_samples)
+        for k in range(n_samples):
+            G[k] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            r[k] = rng.uniform(0.0, 1.0)
+        A = G * (r / np.maximum(op_norm(G), 1e-12))[:, None, None]
+        worst = max(0.0, *(abs(g(y)) for y in zip(*pi_map(A))))
         out["peak"] = {
             "value_at_point": _c2l(val),
             "abs_at_point": abs(val),

@@ -108,6 +108,10 @@ class SigmaOutOfRange(TetraError):
     """sigma**2 lies outside the admissible open interval (xi1, xi2)."""
 
 
+class BadSamples(TetraError):
+    """A sampled audit was asked for fewer than one sample."""
+
+
 # --- automorphisms -----------------------------------------------------------
 
 class Pole(TetraError):

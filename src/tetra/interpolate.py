@@ -27,6 +27,7 @@ import numpy as np
 from .autgroup import pseudohyperbolic
 from .errors import (
     BadLambda,
+    BadSamples,
     Extremal,
     Infeasible,
     InfeasiblePick,
@@ -78,14 +79,13 @@ def _check_lambda0(lam0) -> complex:
 def schwarz_feasible(lam0, x) -> tuple[bool, float]:
     """Decide solvability of the two-point problem 0 -> 0, lambda0 -> x.
 
-    Feasible exactly when the two-quotient maximum is <= |lambda0|; the
-    returned margin is |lambda0| minus that maximum (0 at the extremal
-    boundary, negative when infeasible).
+    Feasible exactly when the two-quotient maximum is <= |lambda0|, up to
+    the extremal band ``EXTREMAL_RTOL * |lambda0|``, which every two-point
+    solver shares; the returned margin is |lambda0| minus that maximum.
     """
     l0 = _check_lambda0(lam0)
-    cm = criterion_max(as_cpoint3(x))
-    margin = abs(l0) - cm
-    return (margin >= 0.0, margin)
+    margin = abs(l0) - criterion_max(as_cpoint3(x))
+    return (margin >= -EXTREMAL_RTOL * abs(l0), margin)
 
 
 def big_m(Z, rho: float) -> CMat2:
@@ -439,12 +439,9 @@ def solve_schwarz(lam0, x, t=0.0) -> Interpolant:
     """
     l0 = _check_lambda0(lam0)
     xp = as_cpoint3(x)
-    cm = criterion_max(xp)
-    margin = abs(l0) - cm
-    if margin < -EXTREMAL_RTOL * abs(l0):
-        raise Infeasible(
-            f"two-quotient max {cm:.12f} exceeds |lambda0| = {abs(l0):.12f}"
-        )
+    feasible, margin = schwarz_feasible(l0, xp)
+    if not feasible:
+        raise Infeasible(f"feasibility margin {margin:.3e} is below the extremal band")
 
     a, b, p = xp
     flipped = abs(a) < abs(b)
@@ -467,7 +464,7 @@ def solve_schwarz(lam0, x, t=0.0) -> Interpolant:
             t=complex(t), flipped=flipped, mode="diag",
         )
 
-    if abs(margin) <= EXTREMAL_RTOL * abs(l0):
+    if margin <= EXTREMAL_RTOL * abs(l0):
         w = principal_sqrt((a * b - p) / l0)
         Z = mat2(a / l0, w, w, b)
         U, S, Vh = np.linalg.svd(Z)
@@ -524,12 +521,9 @@ def all_solutions_params(lam0, x) -> AllSolutionsParams:
         raise Unsupported(
             "family parameters assume |b| <= |a|; apply the coordinate flip"
         )
-    cm = criterion_max((a, b, p))
-    margin = abs(l0) - cm
-    if margin < -EXTREMAL_RTOL * abs(l0):
-        raise Infeasible(
-            f"two-quotient max {cm:.12f} exceeds |lambda0| = {abs(l0):.12f}"
-        )
+    feasible, margin = schwarz_feasible(l0, (a, b, p))
+    if not feasible:
+        raise Infeasible(f"feasibility margin {margin:.3e} is below the extremal band")
     if margin <= EXTREMAL_RTOL * abs(l0):
         raise Extremal("at the feasibility boundary Y2 = 2 and the family is empty")
     r = abs(a * b - p)
@@ -593,10 +587,12 @@ def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,
     toward the boundary), and checks closure membership of phi(lambda), the
     Schur bound on the lift, both endpoint values and the zero first column
     of the lift at 0, from one batched lift at the samples and both nodes.
-    Deterministic given (seed, samples).
+    Deterministic given (seed, samples); samples < 1 raises BadSamples.
     """
-    rng = np.random.default_rng(seed)
     n = int(samples)
+    if n < 1:
+        raise BadSamples(f"the audit needs at least one sample, got {n}")
+    rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     radii = np.empty(n)
     half = n // 2

@@ -74,7 +74,7 @@ def _cdiv(a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     by_real = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
         denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
         return _complex(

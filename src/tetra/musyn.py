@@ -24,12 +24,13 @@ import math
 import numpy as np
 
 from .autgroup import schwarz_pick_triangular
-from .errors import BadShape, Outside, TooManyPoints
-from .interpolate import Interpolant, _check_lambda0, solve_schwarz
+from .errors import BadShape, NumericalDegenerate, Outside, TooManyPoints
+from .interpolate import Interpolant, _check_lambda0, schwarz_feasible, solve_schwarz
 from .linalg import CMat2, as_cmat2, mat2, op_norm, pi_map
-from .tetrablock import as_cpoint3, criterion_max, membership
+from .tetrablock import as_cpoint3, membership
 
 _OFFDIAG_TOL = 1e-13
+_PI_MAX = 1e150   # mu_diag's bound on pi(A) and on its bisection radius
 
 
 def mu_diag(A, tol: float = 1e-9) -> float:
@@ -37,13 +38,18 @@ def mu_diag(A, tol: float = 1e-9) -> float:
 
     mu(A) = 1 / inf{ ||X|| : X diagonal, 1 - AX singular }; equivalently
     the reciprocal of the largest r with (r a11, r a22, r^2 det A) still in
-    the closed tetrablock, found by bisection (membership is monotone in r
-    because the domain is starlike under this scaling).  Returns 0 when no
-    diagonal perturbation of any size makes 1 - AX singular (e.g. strictly
-    triangular nilpotent A).
+    the closed tetrablock, found by bisection to ``tol`` relative to r
+    (membership is monotone in r because the domain is starlike under this
+    scaling).  As det(1 - AX) = 1 - a11 x1 - a22 x2 + det(A) x1 x2, mu is 0
+    exactly when pi(A) = (0, 0, 0).  Raises NumericalDegenerate where the
+    bisection's squares overflow: pi(A) beyond 1e150 or mu(A) below 1e-150.
     """
-    M = as_cmat2(A)
-    a, b, p = pi_map(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, p = x = pi_map(as_cmat2(A))
+        if not (np.abs(x) < _PI_MAX).all():
+            raise NumericalDegenerate(f"pi(A) = {x} overflows: a modulus reaches 1e150")
+    if not any(x):
+        return 0.0
 
     def member(r: float) -> bool:
         return membership((r * a, r * b, r * r * p), closed=True).in_set
@@ -52,9 +58,9 @@ def mu_diag(A, tol: float = 1e-9) -> float:
     while member(hi):
         lo = hi
         hi *= 2.0
-        if hi > 1e9:
-            return 0.0
-    while hi - lo > tol * max(1.0, lo):
+        if hi > _PI_MAX:
+            raise NumericalDegenerate("mu(A) < 1e-150 overflows the bisection")
+    while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)
         if member(mid):
             lo = mid
@@ -213,8 +219,7 @@ def synth_two_point(inst: SynthesisInstance):
             return False, None
         return True, _scaled_lift(A2, l0)
 
-    feasible = criterion_max(x) <= abs(l0) * (1.0 + 1e-10)
-    if not feasible:
+    if not schwarz_feasible(l0, x)[0]:
         return False, None
 
     upper = inst.shape == "upper"

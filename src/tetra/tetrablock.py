@@ -35,7 +35,7 @@ from .errors import (
     OutsideDisc,
     PoleAtZ,
 )
-from .linalg import mat2, op_norm
+from .linalg import mat2
 
 CPoint3 = tuple[complex, complex, complex]
 
@@ -51,19 +51,10 @@ def as_cpoint3(x) -> CPoint3:
     return (x1, x2, x3)
 
 
-def triangular_tol(x) -> float:
-    """Scale-aware tolerance for x1*x2 == x3 degeneracy detection."""
-    x1, x2, x3 = x
-    return 1e-10 * (1.0 + abs(x1 * x2) + abs(x3))
-
-
-def is_triangular(x, tol: float | None = None) -> bool:
-    """True when x1*x2 == x3 within tolerance (matrix representatives are
-    then triangular)."""
-    x1, x2, x3 = as_cpoint3(x)
-    if tol is None:
-        tol = triangular_tol((x1, x2, x3))
-    return abs(x1 * x2 - x3) <= tol
+def is_triangular(x) -> bool:
+    """True when |x1*x2 - x3| <= 1e-10 (1 + |x1*x2| + |x3|), a scale-aware
+    x1*x2 == x3 (matrix representatives are then triangular)."""
+    return _quotients(*as_cpoint3(x))[2]
 
 
 def psi(z, x) -> complex:
@@ -99,10 +90,6 @@ class DValue:
     def __float__(self) -> float:
         return self.value if self.finite else math.inf
 
-    @staticmethod
-    def infinite() -> "DValue":
-        return DValue(math.inf, finite=False)
-
 
 def d_of(x) -> DValue:
     """Three-branch formula for D(x) = sup_{|z|<1} |Psi(z, x)|.
@@ -110,13 +97,7 @@ def d_of(x) -> DValue:
     ``(|x1 - conj(x2)*x3| + |x1*x2 - x3|) / (1 - |x2|^2)`` when |x2| < 1;
     ``|x1|`` on triangular points; infinite otherwise.
     """
-    x1, x2, x3 = as_cpoint3(x)
-    if abs(x2) < 1.0:
-        num = abs(x1 - x2.conjugate() * x3) + abs(x1 * x2 - x3)
-        return DValue(num / (1.0 - abs(x2) ** 2))
-    if is_triangular((x1, x2, x3)):
-        return DValue(abs(x1))
-    return DValue.infinite()
+    return _quotients(*as_cpoint3(x))[3]
 
 
 def criterion_max(x) -> float:
@@ -125,8 +106,8 @@ def criterion_max(x) -> float:
     This is the two-quotient maximum deciding both membership-from-the-origin
     feasibility and the origin distance.
     """
-    x1, x2, x3 = as_cpoint3(x)
-    return max(float(d_of((x1, x2, x3))), float(d_of((x2, x1, x3))))
+    *_, d, dflip = _quotients(*as_cpoint3(x))
+    return max(float(d), float(dflip))
 
 
 @dataclass(frozen=True)
@@ -205,6 +186,21 @@ def _margins(x1, x2, x3):
     )
 
 
+def _quotients(x1, x2, x3):
+    """``(moduli, margins, triangular, D(x), D(x2, x1, x3))`` at a validated
+    point: :func:`_margins`, and the rest from its moduli (see :func:`d_of`)."""
+    mods, margins = _margins(x1, x2, x3)
+    a1, a2, a3, cr12, cr21, crd = mods
+    tri = crd <= 1e-10 * (1.0 + abs(x1 * x2) + a3)
+
+    def d(num, a_den, a_tri):
+        if a_den < 1.0:
+            return DValue(num / (1.0 - a_den ** 2))
+        return DValue(a_tri) if tri else DValue(math.inf, finite=False)
+
+    return mods, margins, tri, d(cr12 + crd, a2, a1), d(cr21 + crd, a1, a2)
+
+
 def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
     """Evaluate the nine equivalent membership criteria at x.
 
@@ -224,8 +220,9 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     adjoining them changes no verdict inside.
     """
     x1, x2, x3 = as_cpoint3(x)
-    (a1, a2, a3, cr12, cr21, crd), (m3, m3p, m4, m4p, m5, m6) = _margins(x1, x2, x3)
-    tri = is_triangular((x1, x2, x3))
+    (a1, a2, a3, cr12, cr21, crd), (m3, m3p, m4, m4p, m5, m6), tri, dval, dflip = (
+        _quotients(x1, x2, x3)
+    )
 
     if closed:
         def ok(margin):
@@ -239,9 +236,6 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
 
         def lt1(v):
             return v < 1.0
-
-    dval = d_of((x1, x2, x3))
-    dflip = d_of((x2, x1, x3))
 
     c2_main = dval.finite and lt1(dval.value)
     c2p_main = dflip.finite and lt1(dflip.value)

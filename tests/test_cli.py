@@ -210,6 +210,40 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert doc3["passed"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_audit_needs_a_sample(tmp_path, capsys, samples):
+    doc = check(
+        capsys, "interp", "interp", "--lambda0", "[-0.9, 0]",
+        "--point", "[0.5, 0.25, 0.5]", "--samples", "40",
+    )
+    payload_file = tmp_path / "phi.json"
+    payload_file.write_text(json.dumps(doc))
+    for argv in (
+        ("interp", "--lambda0", "[-0.9, 0]", "--point", "[0.5, 0.25, 0.5]"),
+        ("verify", "--interpolant", str(payload_file)),
+    ):
+        rc, out, err = invoke(capsys, *argv, "--samples", samples)
+        assert rc == 1 and out == ""
+        error = json.loads(err)
+        jsonschema.validate(error, SCHEMAS["error"])
+        assert error["error"]["type"] == "BadSamples"
+
+
+def test_mu_overflow_is_one_json_error():
+    # pi(A) of this finite matrix overflows; the error names that, and no
+    # numpy warning precedes it on stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "tetra.cli", "mu", "--matrix",
+         "[[1e300,1e300],[1e300,1e300]]"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    error = json.loads(out.stderr)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "NumericalDegenerate"
+    assert "pi(A)" in error["error"]["message"]
+
+
 def test_usage_error_is_machine_readable(capsys):
     rc, out, err = invoke(capsys, "member", "--point", "[2, 0, 0")
     assert rc == 1 and out == ""

@@ -1,3 +1,5 @@
+import cmath
+import json
 import math
 
 import numpy as np
@@ -34,8 +36,9 @@ from tetra.interpolate import (
 )
 from tetra.linalg import eigvals_herm2, mat2, op_norm, pi_map
 from tetra.metrics import pseudohyperbolic
-from tetra.musyn import mu_diag
-from tetra.tetrablock import criterion_max, membership
+from tetra.cli import run
+from tetra.musyn import SynthesisInstance, mu_diag, synth_two_point
+from tetra.tetrablock import construct_matrix_rep, criterion_max, membership
 
 from conftest import random_feasible_instance, random_point_in_e
 
@@ -57,6 +60,29 @@ def test_schwarz_feasible_margins():
     assert ok and margin == pytest.approx(0.1, abs=1e-12)
     ok2, margin2 = schwarz_feasible(0.5, GOLD_X)
     assert not ok2 and margin2 == pytest.approx(-0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("shrink, feasible", [(5e-11, True), (2e-10, False)])
+def test_feasibility_band_is_one_rule(shrink, feasible, capsys):
+    # |lambda0| below the criterion by 5e-11 relative lies in the extremal
+    # band EXTREMAL_RTOL = 1e-10, and by 2e-10 outside it: schwarz_feasible,
+    # solve_schwarz, synth_two_point and `tetra interp` all agree on both
+    x = (0.3 + 0.1j, 0.2 - 0.05j, 0.1 + 0.02j)
+    l0 = criterion_max(x) * (1.0 - shrink) * cmath.exp(0.7j)
+    assert schwarz_feasible(l0, x)[0] is feasible
+    if feasible:
+        phi = solve_schwarz(l0, x)
+        assert phi.variant == "svd_reduced"
+        assert verify_interpolant(phi).passed
+    else:
+        with pytest.raises(Infeasible):
+            solve_schwarz(l0, x)
+    inst = SynthesisInstance(l0, [[0, 1], [0, 0]], construct_matrix_rep(x))
+    assert synth_two_point(inst)[0] is feasible
+    argv = ["interp", "--lambda0", json.dumps([l0.real, l0.imag]),
+            "--point", json.dumps([[c.real, c.imag] for c in x])]
+    assert run(argv) == (0 if feasible else 2)
+    assert json.loads(capsys.readouterr().out)["feasible"] is feasible
 
 
 def test_schwarz_feasible_guards():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tetra.errors import BadShape, Outside, TooManyPoints
+from tetra.errors import BadShape, NumericalDegenerate, Outside, TooManyPoints
 from tetra.linalg import op_norm, pi_map
 from tetra.musyn import (
     SynthesisInstance,
@@ -48,6 +48,28 @@ def test_mu_diag_simple_cases():
     assert mu_diag(np.diag([2.0, 0.5])) == pytest.approx(2.0, abs=1e-8)
     # strictly upper triangular: no diagonal perturbation reaches singularity
     assert mu_diag(np.array([[0.0, 3.0], [0.0, 0.0]])) == 0.0
+
+
+def test_mu_diag_is_homogeneous(rng):
+    # mu(sA) = s mu(A): the bisection stops relative to its radius, and
+    # returns 0 only for pi(A) = (0, 0, 0), at every scale
+    A = 0.5 * np.array([[1.0, 1j], [1j, 1.0]])
+    assert mu_diag(1e-9 * A) == pytest.approx(1e-9 / math.sqrt(2), rel=1e-8)
+    for _ in range(10):
+        A = random_contraction(rng, lo=0.1, hi=2.0)
+        mu = mu_diag(A)
+        for s in np.logspace(-12.0, 8.0, 11):
+            assert mu_diag(s * A) == pytest.approx(s * mu, rel=1e-8)
+
+
+def test_mu_diag_out_of_range_raises():
+    # mu below about 1e-150 overflows the bisection radius; a pi(A) modulus
+    # of 1e150 or more (or an overflowing det A) overflows its squares
+    with pytest.raises(NumericalDegenerate):
+        mu_diag(np.diag([1e-200, 0.0]))
+    for M in ([[1e300, 1e300], [1e300, 1e300]], [[1e300, 0.0], [0.0, 0.0]]):
+        with pytest.raises(NumericalDegenerate, match="overflows"):
+            mu_diag(np.array(M))
 
 
 def test_mu_diag_unitaries(rng):

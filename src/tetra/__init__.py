@@ -54,7 +54,6 @@ from .musyn import (
     synth_two_point_general,
 )
 from .tetrablock import (
-    DValue,
     GeodesicDisc,
     MembershipReport,
     beta_params,
@@ -79,7 +78,7 @@ __all__ = [
     # linear algebra
     "inv2", "mobius_matricial", "op_norm", "pi_map", "sqrt_psd",
     # domain
-    "DValue", "GeodesicDisc", "MembershipReport", "beta_params",
+    "GeodesicDisc", "MembershipReport", "beta_params",
     "construct_matrix_rep", "criterion_max", "d_of", "geodesic_eval",
     "in_distinguished_boundary", "is_triangular", "membership",
     "membership_grid_oracle", "peak_function", "psi", "real_slice_member",

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .errors import (
     BadLambda,
     NotTriangular,
+    NotUnimodular,
     NumericalDegenerate,
     Outside,
     OutsideDisc,
@@ -48,7 +49,7 @@ class DiscAut:
     def __post_init__(self):
         om, al = complex(self.omega), complex(self.alpha)
         if abs(abs(om) - 1.0) > _UNIMODULAR_TOL:
-            raise ValueError(f"|omega| = {abs(om):.15f} is not 1")
+            raise NotUnimodular(f"|omega| = {abs(om):.15f} is not 1")
         if abs(al) >= 1.0:
             raise OutsideDisc(f"|alpha| = {abs(al):.6f} >= 1")
         # pin the modulus exactly so repeated compositions cannot drift

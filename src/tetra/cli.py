@@ -31,13 +31,12 @@ from .linalg import op_norm, pi_map
 from .metrics import dist_from_origin, dist_triangular_pair
 from .musyn import SynthesisInstance, mu_diag, mu_scaling_oracle, synth_two_point
 from .tetrablock import (
+    DEFAULT_TOL,
     in_distinguished_boundary,
     membership,
     membership_grid_oracle,
     peak_function,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 class _UsageError(Exception):
@@ -129,8 +128,8 @@ def _cmd_member(args, tol: float):
             },
             "triangular": rep.triangular,
             "d_value": {
-                "finite": rep.d_value.finite,
-                "value": rep.d_value.value if rep.d_value.finite else None,
+                "finite": math.isfinite(rep.d_value),
+                "value": rep.d_value if math.isfinite(rep.d_value) else None,
             },
         },
         "provenance": _provenance(tol),
@@ -214,11 +213,11 @@ def _cmd_mu(args, tol: float):
     out = {
         "command": "mu",
         "matrix": _mat2l(A),
-        "mu": mu_diag(A, tol=min(tol, 1e-9)),
+        "mu": mu_diag(A),
         "provenance": _provenance(tol),
     }
     if args.oracle:
-        out["oracle"] = mu_scaling_oracle(A, tol=min(tol, 1e-9))
+        out["oracle"] = mu_scaling_oracle(A)
     return out, 0
 
 

@@ -26,6 +26,10 @@ class BadShape(TetraError):
 
 # --- tetrablock domain -------------------------------------------------------
 
+class NonFinite(TetraError, ValueError):
+    """A point coordinate is NaN or infinite."""
+
+
 class PoleAtZ(TetraError):
     """The linear-fractional map was evaluated at its pole."""
 
@@ -108,14 +112,19 @@ class SigmaOutOfRange(TetraError):
     """sigma**2 lies outside the admissible open interval (xi1, xi2)."""
 
 
-class BadSamples(TetraError):
-    """A sampled audit was asked for fewer than one sample."""
+class BadSamples(TetraError, ValueError):
+    """A sampled audit was asked for fewer than one sample, or a grid oracle
+    for fewer than two grid points."""
 
 
 # --- automorphisms -----------------------------------------------------------
 
 class Pole(TetraError):
     """The diamond composition hit its pole (1 - x2*y1 == 0)."""
+
+
+class NotUnimodular(TetraError, ValueError):
+    """A disc automorphism's rotation omega does not have modulus 1."""
 
 
 # --- mu-synthesis ------------------------------------------------------------

@@ -67,6 +67,7 @@ _I2 = np.eye(2)
 EXTREMAL_RTOL = 1e-10   # |max quotient - |lambda0|| below this is extremal
 _B_ZERO = 1e-13         # |b| below this routes to the b = 0 line branch
 _U_TINY = 1e-13         # ||u|| below this with b != 0 is an internal error
+_ALPHA_TOL = 1e-9       # choose_alpha's bound on the smallest eigenvalue
 
 
 def _check_lambda0(lam0) -> complex:
@@ -132,16 +133,16 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
     return u, v
 
 
-def choose_alpha(M, tol: float = 1e-9) -> CVec2:
+def choose_alpha(M) -> CVec2:
     """Unit eigenvector of a Hermitian M for its smallest eigenvalue, with
     the first nonzero component rotated to the positive real axis (a fixed
-    phase so runs are reproducible).  Requires min eig <= tol."""
+    phase so runs are reproducible).  Requires min eig <= 1e-9."""
     Mm = as_cmat2(M)
     Mm = (Mm + Mm.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(Mm)
-    if evals[0] > tol:
+    if evals[0] > _ALPHA_TOL:
         raise PositiveDefinite(
-            f"min eigenvalue {evals[0]:.3e} > {tol:.1e}: no admissible alpha"
+            f"min eigenvalue {evals[0]:.3e} > {_ALPHA_TOL:.1e}: no admissible alpha"
         )
     a = evecs[:, 0].astype(complex)
     for c in a:

@@ -25,6 +25,7 @@ CMat2 = np.ndarray
 CVec2 = np.ndarray
 
 _I2 = np.eye(2)
+_PSD_TOL = 1e-10   # sqrt_psd's allowance for a negative eigenvalue
 
 
 def mat2(a11, a12, a21, a22) -> CMat2:
@@ -125,19 +126,19 @@ def herm_part(P) -> CMat2:
     return (M + M.conj().T) / 2.0
 
 
-def sqrt_psd(P, tol: float = 1e-10) -> CMat2:
+def sqrt_psd(P) -> CMat2:
     """Hermitian square root of a PSD 2x2 matrix.
 
     Generic branch is the closed form
     ``sqrt(P) = (P + sqrt(det P) I) / sqrt(trace P + 2 sqrt(det P))``;
     when the denominator degenerates (P near zero) a spectral fallback is
     used.  Raises :class:`NotPSD` if the symmetrised input has an eigenvalue
-    below ``-tol``.
+    below -1e-10.
     """
     H = herm_part(P)
     tr, det, (lo, _) = _herm2_spectrum(H)
-    if lo < -tol:
-        raise NotPSD(f"matrix has eigenvalue {lo:.3e} < -{tol:.1e}")
+    if lo < -_PSD_TOL:
+        raise NotPSD(f"matrix has eigenvalue {lo:.3e} < -{_PSD_TOL:.1e}")
     sdet = math.sqrt(max(det, 0.0))
     denom = tr + 2.0 * sdet
     if denom < 1e-14:

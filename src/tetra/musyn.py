@@ -31,14 +31,15 @@ from .tetrablock import as_cpoint3, membership
 
 _OFFDIAG_TOL = 1e-13
 _PI_MAX = 1e150   # mu_diag's bound on pi(A) and on its bisection radius
+MU_RTOL = 1e-9    # mu_diag's bisection stop, relative to the radius
 
 
-def mu_diag(A, tol: float = 1e-9) -> float:
+def mu_diag(A) -> float:
     """Structured singular value of a 2x2 matrix for diagonal perturbations.
 
     mu(A) = 1 / inf{ ||X|| : X diagonal, 1 - AX singular }; equivalently
     the reciprocal of the largest r with (r a11, r a22, r^2 det A) still in
-    the closed tetrablock, found by bisection to ``tol`` relative to r
+    the closed tetrablock, found by bisection to ``MU_RTOL`` relative to r
     (membership is monotone in r because the domain is starlike under this
     scaling).  As det(1 - AX) = 1 - a11 x1 - a22 x2 + det(A) x1 x2, mu is 0
     exactly when pi(A) = (0, 0, 0).  Raises NumericalDegenerate where the
@@ -60,7 +61,7 @@ def mu_diag(A, tol: float = 1e-9) -> float:
         hi *= 2.0
         if hi > _PI_MAX:
             raise NumericalDegenerate("mu(A) < 1e-150 overflows the bisection")
-    while hi - lo > tol * lo:
+    while hi - lo > MU_RTOL * lo:
         mid = 0.5 * (lo + hi)
         if member(mid):
             lo = mid
@@ -69,7 +70,7 @@ def mu_diag(A, tol: float = 1e-9) -> float:
     return 2.0 / (lo + hi)
 
 
-def mu_scaling_oracle(A, tol: float = 1e-9) -> float:
+def mu_scaling_oracle(A) -> float:
     """Diagonal-scaling infimum inf_{d>0} ||diag(d,1) A diag(1/d,1)||.
 
     For the 2-block diagonal structure this equals mu (the scaling upper
@@ -77,10 +78,15 @@ def mu_scaling_oracle(A, tol: float = 1e-9) -> float:
     :func:`mu_diag`.  The norm is unimodal in log d — its squared value is
     an increasing function of |a12|^2 d^2 + |a21|^2 / d^2 with the other
     invariants fixed — so a coarse grid plus golden-section search on
-    log d in [-12, 12] finds the infimum reliably.
+    log d in [-12, 12] finds the infimum reliably.  Raises
+    NumericalDegenerate when the scaled norms overflow.
     """
     M = as_cmat2(A)
-    return _golden_min(lambda s: op_norm(_dscale(M, s)), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _golden_min(lambda s: op_norm(_dscale(M, s)), 1e-9)
+    if not math.isfinite(value):
+        raise NumericalDegenerate(f"the diagonal scaling search overflows: {value}")
+    return value
 
 
 def _dscale(T, s: float):
@@ -89,27 +95,27 @@ def _dscale(T, s: float):
     return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
 
 
-def _golden_min(f, tol: float, budget: float = math.inf) -> float:
+def _golden_min(f, tol: float) -> float:
     """Minimum of a unimodal f on [-12, 12]: the best point of a 121-point
     grid brackets it, then golden-section search narrows the bracket below
-    ``tol`` or until ``budget`` evaluations of f are spent."""
+    ``tol``."""
     grid = np.linspace(-12.0, 12.0, 121)
     vals = [f(s) for s in grid]
     k = int(np.argmin(vals))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    return _golden_section(f, lo, hi, tol, budget - len(grid))
+    return _golden_section(f, lo, hi, tol)
 
 
-def _golden_section(f, lo, hi, tol: float, budget: float) -> float:
+def _golden_section(f, lo, hi, tol: float) -> float:
     """Minimum of a unimodal f on [lo, hi] by golden-section search, which
-    narrows the bracket below ``tol`` or until ``budget`` evaluations of f
-    are spent."""
+    narrows the bracket below ``tol``.  The bracket shrinks by the same
+    factor at every evaluation of f, so their number depends only on
+    (hi - lo) / tol: 48 take [-18, 18] below 1e-8."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
-    evals = 2
-    while hi - lo > tol and evals < budget:
+    while hi - lo > tol:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -118,7 +124,6 @@ def _golden_section(f, lo, hi, tol: float, budget: float) -> float:
             lo, c, fc = c, d, fd
             d = lo + invphi * (hi - lo)
             fd = f(d)
-        evals += 1
     return min(fc, fd)
 
 
@@ -287,17 +292,17 @@ def _bft_norm(points, mats) -> float:
     return float(np.linalg.norm(Lh @ B @ np.linalg.inv(Lh), 2))
 
 
-def bft_lower_bound(points, targets, budget: int = 4000) -> float:
+def bft_lower_bound(points, targets) -> float:
     """Diagonal-scaling infimum of the commutant-operator norm for one or
     two interpolation nodes: inf over D_j = diag(d_j, 1), d_j > 0, of the
     norm of the operator sending k_{lambda_j} (x) xi to itself with block
     (D_j F_j D_j^{-1})* on the j-th kernel slot.
 
-    This is a numerical infimum within about ``budget`` norm evaluations:
-    for one node the grid and golden-section search of
-    :func:`mu_scaling_oracle` on log d; for two nodes a 41-point grid and
-    golden-section search on log d_1, each of whose probes is a
-    golden-section search on log d_2.  It is an upper bound on the true
+    This is a numerical infimum: for one node the grid and golden-section
+    search of :func:`mu_scaling_oracle` on log d, about 170 norm
+    evaluations; for two nodes a 41-point grid and golden-section search on
+    log d_1, each of whose probes is a 48-evaluation golden-section search
+    on log d_2, about 4000 in all.  It is an upper bound on the true
     infimum, with no claim that the infimum is attained.  For a single node
     it reproduces mu_diag of the target.
     """
@@ -317,27 +322,22 @@ def bft_lower_bound(points, targets, budget: int = 4000) -> float:
         return 0.0
 
     if n == 1:
-        return _golden_min(
-            lambda s: _bft_norm(pts, [_dscale(mats[0], s)]), 1e-10, budget
-        )
+        return _golden_min(lambda s: _bft_norm(pts, [_dscale(mats[0], s)]), 1e-10)
 
     # golden section on log d_1 between the grid neighbours of the best
     # grid point, on log d_2 over [-18, 18]: the wide ranges let the
     # scaling of a triangular target shrink its corner to e^-18 of its size.
-    # Each search gets budget / 82 evaluations: 41 grid probes and about as
-    # many refining ones keep the total near ``budget``.
     grid = np.linspace(-6.0, 6.0, 41)
-    search_budget = budget / (2 * len(grid))
 
     def min_over_s2(s1: float) -> float:
         return _golden_section(
             lambda s2: _bft_norm(pts, [_dscale(mats[0], s1), _dscale(mats[1], s2)]),
-            -18.0, 18.0, 1e-8, search_budget,
+            -18.0, 18.0, 1e-8,
         )
 
     rows = [min_over_s2(s1) for s1 in grid]
     k = int(np.argmin(rows))
     lo = grid[k - 1] if k > 0 else -18.0
     hi = grid[k + 1] if k < len(grid) - 1 else 18.0
-    refined = _golden_section(min_over_s2, lo, hi, 1e-8, search_budget)
+    refined = _golden_section(min_over_s2, lo, hi, 1e-8)
     return float(min(rows[k], refined))

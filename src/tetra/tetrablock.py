@@ -26,8 +26,10 @@ import numpy as np
 
 from .errors import (
     BadBeta,
+    BadSamples,
     InsideClosure,
     NotPeak,
+    NonFinite,
     NotReal,
     NumericalDegenerate,
     OnTorus,
@@ -47,7 +49,7 @@ def as_cpoint3(x) -> CPoint3:
     x1, x2, x3 = (complex(c) for c in x)
     for c in (x1, x2, x3):
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("point coordinates must be finite")
+            raise NonFinite("point coordinates must be finite")
     return (x1, x2, x3)
 
 
@@ -79,23 +81,11 @@ def upsilon_fn(z, x) -> complex:
     return psi(z, (x2, x1, x3))
 
 
-@dataclass(frozen=True)
-class DValue:
-    """Extended-real value of D(x): ``finite`` tags the infinite branch
-    explicitly rather than smuggling a float sentinel."""
-
-    value: float
-    finite: bool = True
-
-    def __float__(self) -> float:
-        return self.value if self.finite else math.inf
-
-
-def d_of(x) -> DValue:
+def d_of(x) -> float:
     """Three-branch formula for D(x) = sup_{|z|<1} |Psi(z, x)|.
 
     ``(|x1 - conj(x2)*x3| + |x1*x2 - x3|) / (1 - |x2|^2)`` when |x2| < 1;
-    ``|x1|`` on triangular points; infinite otherwise.
+    ``|x1|`` on triangular points; ``math.inf`` otherwise.
     """
     return _quotients(*as_cpoint3(x))[3]
 
@@ -107,7 +97,7 @@ def criterion_max(x) -> float:
     feasibility and the origin distance.
     """
     *_, d, dflip = _quotients(*as_cpoint3(x))
-    return max(float(d), float(dflip))
+    return max(d, dflip)
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,7 @@ class MembershipReport:
     m5: float
     m6: float
     triangular: bool
-    d_value: DValue
+    d_value: float
     closed: bool
 
     def verdicts(self) -> tuple[bool, ...]:
@@ -195,8 +185,8 @@ def _quotients(x1, x2, x3):
 
     def d(num, a_den, a_tri):
         if a_den < 1.0:
-            return DValue(num / (1.0 - a_den ** 2))
-        return DValue(a_tri) if tri else DValue(math.inf, finite=False)
+            return num / (1.0 - a_den ** 2)
+        return a_tri if tri else math.inf
 
     return mods, margins, tri, d(cr12 + crd, a2, a1), d(cr21 + crd, a1, a2)
 
@@ -237,9 +227,7 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
         def lt1(v):
             return v < 1.0
 
-    c2_main = dval.finite and lt1(dval.value)
-    c2p_main = dflip.finite and lt1(dflip.value)
-    c2 = (c2_main and (not tri or lt1(a2))) and (c2p_main and (not tri or lt1(a1)))
+    c2 = lt1(dval) and lt1(dflip) and (not tri or (lt1(a1) and lt1(a2)))
 
     c3 = ok(m3) and (not closed or not tri or lt1(a1))
     c3p = ok(m3p) and (not closed or not tri or lt1(a2))
@@ -299,7 +287,7 @@ def membership_grid_oracle(x, closed: bool = False, n: int = 200) -> bool:
     """
     x1, x2, x3 = as_cpoint3(x)
     if n < 2:
-        raise ValueError("grid size must be >= 2")
+        raise BadSamples("grid size must be >= 2")
     n_ang = int(n)
     n_rad = max(2, n_ang // 4)
     angles = np.exp(2j * np.pi * np.arange(n_ang) / n_ang)
@@ -366,11 +354,11 @@ _FACES = (
 )
 
 
-def real_slice_member(x, tol: float = DEFAULT_TOL) -> bool:
+def real_slice_member(x) -> bool:
     """Membership of a real triple in E: the four tetrahedron faces
     c . x + 1 > 0 must all hold strictly."""
     x1, x2, x3 = as_cpoint3(x)
-    if max(abs(x1.imag), abs(x2.imag), abs(x3.imag)) > tol:
+    if max(abs(x1.imag), abs(x2.imag), abs(x3.imag)) > DEFAULT_TOL:
         raise NotReal("coordinates must be real")
     r1, r2, r3 = x1.real, x2.real, x3.real
     return all(c1 * r1 + c2 * r2 + c3 * r3 + 1.0 > 0.0 for c1, c2, c3 in _FACES)
@@ -429,7 +417,7 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
     return g_nontri
 
 
-def separating_polynomial(x, tol: float = DEFAULT_TOL):
+def separating_polynomial(x):
     """Certified separating polynomial for a point outside the closure.
 
     Returns ``(f, certificate)`` where f is a polynomial evaluator with
@@ -440,7 +428,7 @@ def separating_polynomial(x, tol: float = DEFAULT_TOL):
     truncated-geometric-series polynomial is built around it.
     """
     x1, x2, x3 = as_cpoint3(x)
-    rep = membership((x1, x2, x3), closed=True, tol=tol)
+    rep = membership((x1, x2, x3), closed=True)
     if rep.in_set:
         raise InsideClosure("the point lies in the closure")
 
@@ -499,7 +487,7 @@ def separating_polynomial(x, tol: float = DEFAULT_TOL):
     return f_poly, cert
 
 
-def construct_matrix_rep(x, symmetric: bool = True, tol: float = DEFAULT_TOL):
+def construct_matrix_rep(x, symmetric: bool = True):
     """2x2 matrix representative A with pi(A) = x for a closure point.
 
     The symmetric form [[x1, w], [w, x2]] (w the principal square root of
@@ -513,7 +501,7 @@ def construct_matrix_rep(x, symmetric: bool = True, tol: float = DEFAULT_TOL):
     diag(x1, x2) either way.
     """
     x1, x2, x3 = as_cpoint3(x)
-    if not membership((x1, x2, x3), closed=True, tol=tol).in_set:
+    if not membership((x1, x2, x3), closed=True).in_set:
         raise Outside("the point lies outside the closure")
     if symmetric:
         a11, a12, a21, a22 = _sym_rep_entries(x1, x2, x3)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -6,7 +7,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from tetra.autgroup import DiscAut
 from tetra.cli import run
+from tetra.errors import BadSamples, NonFinite, NotUnimodular, TetraError
+from tetra.tetrablock import as_cpoint3, membership_grid_oracle
 
 SCHEMAS = {}
 for name in (
@@ -242,6 +246,53 @@ def test_mu_overflow_is_one_json_error():
     jsonschema.validate(error, SCHEMAS["error"])
     assert error["error"]["type"] == "NumericalDegenerate"
     assert "pi(A)" in error["error"]["message"]
+
+
+def test_mu_oracle_overflow_is_one_json_error():
+    # every scaled norm of this nilpotent matrix overflows; the oracle says
+    # so in one JSON error, and no numpy warning precedes it on stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "tetra.cli", "mu", "--matrix", "[[0,1e200],[0,0]]",
+         "--oracle"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    error = json.loads(out.stderr)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "NumericalDegenerate"
+
+
+def test_mu_ignores_the_margin_tolerance():
+    # --tol reaches membership margins, not mu's fixed bisection stop, so a
+    # zero or negative --tol gives the default answer and does not hang
+    matrix = "[[0.5, [0, 0.5]], [[0, 0.5], 0.5]]"
+    docs = []
+    for tol in ((), ("--tol", "0"), ("--tol", "-1")):
+        out = subprocess.run(
+            [sys.executable, "-m", "tetra.cli", *tol, "mu", "--matrix", matrix,
+             "--oracle"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        docs.append(json.loads(out.stdout))
+    for doc in docs[1:]:
+        assert (doc["mu"], doc["oracle"]) == (docs[0]["mu"], docs[0]["oracle"])
+
+
+def test_malformed_values_raise_typed_value_errors(capsys):
+    # each is a TetraError, and a ValueError for callers that catch that
+    cases = (
+        (NonFinite, lambda: as_cpoint3((math.inf, 0.0, 0.0))),
+        (NotUnimodular, lambda: DiscAut(2.0, 0.0)),
+        (BadSamples, lambda: membership_grid_oracle((0.0, 0.0, 0.0), n=1)),
+    )
+    for cls, call in cases:
+        assert issubclass(cls, TetraError) and issubclass(cls, ValueError)
+        with pytest.raises(cls):
+            call()
+    rc, out, err = invoke(capsys, "member", "--point", "[1e400, 0, 0]")
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "NonFinite"
 
 
 def test_usage_error_is_machine_readable(capsys):

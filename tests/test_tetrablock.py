@@ -1,9 +1,11 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import tetra
 from tetra.errors import (
     BadBeta,
     InsideClosure,
@@ -16,7 +18,6 @@ from tetra.errors import (
 )
 from tetra.linalg import op_norm, pi_map
 from tetra.tetrablock import (
-    DValue,
     GeodesicDisc,
     beta_params,
     construct_matrix_rep,
@@ -53,9 +54,27 @@ def test_d_known_values():
     # triangular branch: D = |x1|
     assert float(d_of((0.3, 0.2, 0.06))) == pytest.approx(0.3, abs=1e-14)
     # |x2| >= 1 and not triangular: infinite
-    dv = d_of((0.5, 1.0, 0.1))
-    assert not dv.finite and math.isinf(float(dv))
-    assert isinstance(dv, DValue)
+    assert math.isinf(d_of((0.5, 1.0, 0.1)))
+
+
+def test_public_api_fixes_its_tolerances():
+    # precision is one fixed policy: only the four functions whose
+    # tolerance the CLI's --tol drives take one, and no search takes a budget
+    takes_tol = set()
+    for name in tetra.__all__:
+        obj = getattr(tetra, name)
+        if not callable(obj) or obj is tetra.TetraError:
+            continue
+        params = inspect.signature(obj).parameters
+        assert "budget" not in params, name
+        if "tol" in params:
+            takes_tol.add(name)
+    assert takes_tol == {
+        "membership", "in_distinguished_boundary", "peak_function",
+        "verify_interpolant",
+    }
+    assert "DValue" not in tetra.__all__
+    assert not hasattr(tetra.tetrablock, "DValue")
 
 
 def test_d_is_sup_of_psi_on_circle(rng):

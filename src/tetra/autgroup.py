@@ -24,7 +24,9 @@ from .errors import (
     OutsideDisc,
     Pole,
 )
-from .tetrablock import CPoint3, as_cpoint3, criterion_max, is_triangular, membership
+from .tetrablock import (
+    CPoint3, _act_left, as_cpoint3, criterion_max, is_triangular, membership,
+)
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -48,10 +50,11 @@ class DiscAut:
 
     def __post_init__(self):
         om, al = complex(self.omega), complex(self.alpha)
-        if abs(abs(om) - 1.0) > _UNIMODULAR_TOL:
+        # written so that a NaN fails each check
+        if not abs(abs(om) - 1.0) <= _UNIMODULAR_TOL:
             raise NotUnimodular(f"|omega| = {abs(om):.15f} is not 1")
-        if abs(al) >= 1.0:
-            raise OutsideDisc(f"|alpha| = {abs(al):.6f} >= 1")
+        if not abs(al) < 1.0:
+            raise OutsideDisc(f"|alpha| = {abs(al):.6f} is not below 1")
         # pin the modulus exactly so repeated compositions cannot drift
         object.__setattr__(self, "omega", om / abs(om))
         object.__setattr__(self, "alpha", al)
@@ -111,16 +114,7 @@ def tau(v: DiscAut) -> CPoint3:
 
 def act_left(v: DiscAut, x) -> CPoint3:
     """Left action v . x = tau(v) <> x, in closed form."""
-    x1, x2, x3 = as_cpoint3(x)
-    om, al = v.omega, v.alpha
-    den = 1.0 - al.conjugate() * x1
-    if abs(den) < 1e-14:
-        raise Pole("left action pole: conj(alpha) * x1 = 1")
-    return (
-        om * (al - x1) / den,
-        (x2 - al.conjugate() * x3) / den,
-        om * (al * x2 - x3) / den,
-    )
+    return _act_left(v.omega, v.alpha, as_cpoint3(x))
 
 
 def act_right(x, v: DiscAut) -> CPoint3:

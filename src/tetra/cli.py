@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -48,25 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _c2l(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _point2l(x) -> list:
-    return [_c2l(c) for c in x]
-
-
-def _mat2l(M) -> list:
-    A = np.asarray(M, dtype=complex)
-    return [[_c2l(A[i, j]) for j in (0, 1)] for i in (0, 1)]
-
-
-def _vec2l(v) -> list:
-    a = np.asarray(v, dtype=complex).reshape(2)
-    return [_c2l(a[0]), _c2l(a[1])]
 
 
 def _as_complex_entry(v) -> complex:
@@ -106,9 +86,21 @@ def _provenance(tol: float, seed=None) -> dict:
     }
 
 
+def _wire(v):
+    """The JSON form of what json cannot encode itself: a complex number
+    as [re, im], an array as nested lists."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serialisable")
+
+
 def _emit(obj: dict, stream=None) -> None:
     stream = stream or sys.stdout
-    stream.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
+    stream.write(
+        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_wire)
+    )
     stream.write("\n")
 
 
@@ -117,7 +109,7 @@ def _cmd_member(args, tol: float):
     rep = membership(x, closed=args.closed, tol=tol)
     out = {
         "command": "member",
-        "point": _point2l(x),
+        "point": x,
         "closed": bool(args.closed),
         "report": {
             "in_set": rep.in_set,
@@ -143,22 +135,17 @@ def _cmd_member(args, tol: float):
 
 def _cmd_dist(args, tol: float):
     x = _parse_point(getattr(args, "from"))
-    if args.to is None:
+    y = None if args.to is None else _parse_point(args.to)
+    if y is None or max(abs(c) for c in y) == 0.0:
         dist = dist_from_origin(x)
-        to_l = None
+    elif max(abs(c) for c in x) == 0.0:
+        dist = dist_from_origin(y)
     else:
-        y = _parse_point(args.to)
-        if max(abs(c) for c in y) == 0.0:
-            dist = dist_from_origin(x)
-        elif max(abs(c) for c in x) == 0.0:
-            dist = dist_from_origin(y)
-        else:
-            dist = dist_triangular_pair(x, y)
-        to_l = _point2l(y)
+        dist = dist_triangular_pair(x, y)
     out = {
         "command": "dist",
-        "from": _point2l(x),
-        "to": to_l,
+        "from": x,
+        "to": y,
         "distance": dist,
         "quotient": math.tanh(dist),
         "provenance": _provenance(tol),
@@ -174,8 +161,8 @@ def _cmd_interp(args, tol: float):
     base = {
         "command": "interp",
         "feasible": feasible,
-        "lambda0": _c2l(l0),
-        "point": _point2l(x),
+        "lambda0": l0,
+        "point": x,
         "margin": margin,
         "provenance": _provenance(tol, seed),
     }
@@ -196,11 +183,11 @@ def _cmd_interp(args, tol: float):
             "feasible": True,
             "variant": phi.variant,
             "sigma": phi.sigma,
-            "t": _c2l(phi.t),
+            "t": phi.t,
             "flipped": phi.flipped,
-            "Z": _mat2l(phi.Z) if phi.Z is not None else None,
-            "u": _vec2l(phi.u) if phi.u is not None else None,
-            "v": _vec2l(phi.v) if phi.v is not None else None,
+            "Z": phi.Z,
+            "u": phi.u,
+            "v": phi.v,
             "interpolant": phi.to_payload(),
             "verification": report.to_dict(),
         }
@@ -212,7 +199,7 @@ def _cmd_mu(args, tol: float):
     A = _parse_matrix(args.matrix)
     out = {
         "command": "mu",
-        "matrix": _mat2l(A),
+        "matrix": A,
         "mu": mu_diag(A),
         "provenance": _provenance(tol),
     }
@@ -225,24 +212,23 @@ def _cmd_synth(args, tol: float):
     l0 = _as_complex_entry(json.loads(args.lambda0))
     A1 = _parse_matrix(args.a1)
     A2 = _parse_matrix(args.a2)
-    zeta = _as_complex_entry(json.loads(args.zeta)) if args.zeta else None
-    inst = SynthesisInstance(l0, A1, A2, zeta=zeta)
+    inst = SynthesisInstance(l0, A1, A2)
     feasible, lift = synth_two_point(inst)
     out = {
         "command": "synth",
         "feasible": feasible,
-        "lambda0": _c2l(l0),
+        "lambda0": l0,
         "shape": inst.shape,
-        "zeta": _c2l(inst.zeta),
-        "a2": _mat2l(A2),
+        "zeta": inst.zeta,
+        "a2": A2,
         "lift_at_zero": None,
         "lift_at_lambda0": None,
         "mu_audit": None,
         "provenance": _provenance(tol),
     }
     if feasible and lift is not None:
-        out["lift_at_zero"] = _mat2l(lift(0.0))
-        out["lift_at_lambda0"] = _mat2l(lift(l0))
+        out["lift_at_zero"] = lift(0.0)
+        out["lift_at_lambda0"] = lift(l0)
         n_samples = 20
         worst = 0.0
         golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -258,7 +244,7 @@ def _cmd_boundary(args, tol: float):
     on_b = in_distinguished_boundary(x, tol=tol)
     out = {
         "command": "boundary",
-        "point": _point2l(x),
+        "point": x,
         "on_boundary": on_b,
         "peak": None,
         "provenance": _provenance(tol, 0),
@@ -275,7 +261,7 @@ def _cmd_boundary(args, tol: float):
         A = G * (r / np.maximum(op_norm(G), 1e-12))[:, None, None]
         worst = max(0.0, *(abs(g(y)) for y in zip(*pi_map(A))))
         out["peak"] = {
-            "value_at_point": _c2l(val),
+            "value_at_point": val,
             "abs_at_point": abs(val),
             "max_abs_sampled": worst,
             "samples": n_samples,
@@ -289,7 +275,7 @@ def _cmd_auto(args, tol: float):
         if args.x is None or args.y is None:
             raise _UsageError("diamond needs --x and --y")
         res = diamond(_parse_point(args.x), _parse_point(args.y))
-        result = {"point": _point2l(res)}
+        result = {"point": res}
     elif op in ("left", "right"):
         if args.x is None or args.omega is None or args.alpha is None:
             raise _UsageError(f"{op} needs --x, --omega and --alpha")
@@ -299,11 +285,11 @@ def _cmd_auto(args, tol: float):
         )
         x = _parse_point(args.x)
         res = act_left(v, x) if op == "left" else act_right(x, v)
-        result = {"point": _point2l(res)}
+        result = {"point": res}
     elif op == "flip":
         if args.x is None:
             raise _UsageError("flip needs --x")
-        result = {"point": _point2l(flip(_parse_point(args.x)))}
+        result = {"point": flip(_parse_point(args.x))}
     else:  # normalize
         if args.x is None:
             raise _UsageError("normalize needs --x")
@@ -311,9 +297,9 @@ def _cmd_auto(args, tol: float):
         v, chi = normalize_triangular(x)
         image = act_right(act_left(v, x), chi)
         result = {
-            "upsilon": {"omega": _c2l(v.omega), "alpha": _c2l(v.alpha)},
-            "chi": {"omega": _c2l(chi.omega), "alpha": _c2l(chi.alpha)},
-            "image": _point2l(image),
+            "upsilon": {"omega": v.omega, "alpha": v.alpha},
+            "chi": {"omega": chi.omega, "alpha": chi.alpha},
+            "image": image,
         }
     return {
         "command": "auto",
@@ -341,8 +327,8 @@ def _cmd_verify(args, tol: float):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="tetra", description=__doc__)
-    p.add_argument("--tol", type=float, default=None,
-                   help="margin tolerance (default: TETRA_TOL or 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"margin tolerance (default: {DEFAULT_TOL})")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     m = sub.add_parser("member", help="membership report for a point")
@@ -370,7 +356,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--lambda0", required=True)
     s.add_argument("--a1", required=True)
     s.add_argument("--a2", required=True)
-    s.add_argument("--zeta", default=None)
 
     b = sub.add_parser("boundary", help="distinguished boundary and peak probe")
     b.add_argument("--point", required=True)
@@ -407,10 +392,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = args.tol
-        if tol is None:
-            tol = float(os.environ.get("TETRA_TOL", DEFAULT_TOL))
-        out, code = _HANDLERS[args.cmd](args, tol)
+        out, code = _HANDLERS[args.cmd](args, args.tol)
     except (_UsageError, TetraError, ValueError, OSError) as exc:
         _emit({"error": {"type": exc.__class__.__name__, "message": str(exc)}},
               stream=sys.stderr)

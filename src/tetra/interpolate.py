@@ -43,15 +43,18 @@ from .errors import (
 from .linalg import (
     CMat2,
     CVec2,
+    _I2,
     _cdiv,
     _cmul,
+    _defect_factors,
+    _mobius,
+    _right_const,
     as_cmat2,
     inv2,
     mat2,
     op_norm,
     pi_map,
     principal_sqrt,
-    sqrt_psd,
 )
 from .tetrablock import (  # noqa: F401  (membership: kept importable from here)
     CPoint3,
@@ -61,8 +64,6 @@ from .tetrablock import (  # noqa: F401  (membership: kept importable from here)
     is_triangular,
     membership,
 )
-
-_I2 = np.eye(2)
 
 EXTREMAL_RTOL = 1e-10   # |max quotient - |lambda0|| below this is extremal
 _B_ZERO = 1e-13         # |b| below this routes to the b = 0 line branch
@@ -75,6 +76,12 @@ def _check_lambda0(lam0) -> complex:
     if abs(l0) < 1e-15 or abs(l0) >= 1.0:
         raise BadLambda(f"lambda0 must satisfy 0 < |lambda0| < 1, got {l0}")
     return l0
+
+
+def _check_t(t: complex) -> None:
+    # written so that a NaN fails
+    if not abs(t) <= 1.0 + 1e-12:
+        raise OutsideDisc(f"|t| = {abs(t):.6f} is not at most 1")
 
 
 def schwarz_feasible(lam0, x) -> tuple[bool, float]:
@@ -127,9 +134,9 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
         raise ZeroAlpha("alpha must be nonzero")
     if op_norm(Zm) >= 1.0:
         raise NormTooLarge(f"op_norm(Z) = {op_norm(Zm):.6f} >= 1")
-    Zs = Zm.conj().T
-    u = inv2(sqrt_psd(_I2 - Zm @ Zs)) @ (a[0] * Zm[:, 0] + a[1] * _I2[:, 1])
-    v = -inv2(sqrt_psd(_I2 - Zs @ Zm)) @ (a[0] * _I2[:, 0] + a[1] * Zs[:, 1])
+    isqrt_w, sqrt_y = _defect_factors(Zm)
+    u = isqrt_w @ (a[0] * Zm[:, 0] + a[1] * _I2[:, 1])
+    v = -inv2(sqrt_y) @ (a[0] * _I2[:, 0] + a[1] * Zm.conj().T[:, 1])
     return u, v
 
 
@@ -218,8 +225,7 @@ def scalar_np2(lam1, v1, lam2, v2, t=0.0):
         raise BadLambda("interpolation nodes must lie in the open disc")
     if abs(l1 - l2) < 1e-15:
         raise BadLambda("interpolation nodes must be distinct")
-    if abs(tc) > 1.0 + 1e-12:
-        raise OutsideDisc(f"|t| = {abs(tc):.6f} > 1")
+    _check_t(tc)
     if abs(w1) > 1.0 or abs(w2) > 1.0:
         raise InfeasiblePick("target values must lie in the closed disc")
 
@@ -276,7 +282,7 @@ class Interpolant:
     v: CVec2 | None = None
     sigma: float | None = None
     scalar_g: object | None = None
-    t: complex = 0.0
+    t: complex = 0j
     flipped: bool = False
     mode: str | None = None
     _isqrt_w: CMat2 | None = field(default=None, repr=False)
@@ -288,10 +294,8 @@ class Interpolant:
     _scalar_params: tuple | None = field(default=None, repr=False)
 
     # Each lift below maps a point to its unflipped 2x2 lift, and a 1-D
-    # array of n points to the (n, 2, 2) stack of them.  Products with a
-    # per-point factor on both sides go through np.matmul, which rounds each
-    # matrix of a stack as it rounds a lone 2x2 product; a constant right
-    # factor multiplies the (2n, 2) stack of rows at once.
+    # array of n points to the (n, 2, 2) stack of them, each matrix of the
+    # stack rounded as the lift of that point alone (see linalg._mobius).
 
     def _line_lift(self, lam):
         if self.mode == "diag":
@@ -306,10 +310,9 @@ class Interpolant:
         return _times_diag(_right_const(U1D, self._U2s), lam)
 
     def _mobius_lift(self, lam):
+        # M_{-Z} inverts M_Z, and -Z has the defect factors of Z
         X = _per_point(_blaschke0(self.lambda0, lam)) * self._Q0
-        Zm = self.Z
-        P = np.matmul(self._isqrt_w @ (X + Zm), inv2(_I2 + Zm.conj().T @ X))
-        return _times_diag(_right_const(P, self._sqrt_y), lam)
+        return _times_diag(_mobius(-self.Z, X, self._isqrt_w, self._sqrt_y), lam)
 
     def lift_evaluate(self, lam):
         """F(lam) for a point of the closed disc, or the (n, 2, 2) stack of
@@ -388,11 +391,6 @@ def _per_point(v):
     return np.asarray(v)[..., None, None]
 
 
-def _right_const(G, C):
-    """G @ C for a 2x2 matrix or a stack G and a constant 2x2 C."""
-    return (G.reshape(-1, 2) @ C).reshape(G.shape)
-
-
 def _times_diag(G, lam):
     """G @ diag(lam, 1) for a 2x2 matrix or a stack G: its first column
     scaled by the point."""
@@ -411,23 +409,22 @@ _LIFTS = {
 
 def _assemble_mobius(ws: SchwarzWorkspace) -> dict:
     """Precompute the constant factors of the Moebius-transported lift."""
-    Zm = ws.Z
-    Zs = Zm.conj().T
     nu2 = float(np.vdot(ws.u, ws.u).real)
     if nu2 < _U_TINY ** 2:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
     Q0 = np.outer(ws.u, ws.v.conj()) / (ws.lambda0 * nu2)
+    isqrt_w, sqrt_y = _defect_factors(ws.Z)
     return {
-        "Z": Zm,
+        "Z": ws.Z,
         "u": ws.u,
         "v": ws.v,
-        "_isqrt_w": inv2(sqrt_psd(_I2 - Zm @ Zs)),
-        "_sqrt_y": sqrt_psd(_I2 - Zs @ Zm),
+        "_isqrt_w": isqrt_w,
+        "_sqrt_y": sqrt_y,
         "_Q0": Q0,
     }
 
 
-def solve_schwarz(lam0, x, t=0.0) -> Interpolant:
+def solve_schwarz(lam0, x, t=0j) -> Interpolant:
     """Construct an interpolant phi with phi(0) = 0, phi(lambda0) = x.
 
     Branches: b = 0 and triangular targets get scaled-line solutions; a
@@ -439,6 +436,8 @@ def solve_schwarz(lam0, x, t=0.0) -> Interpolant:
     flipped back.  Raises Infeasible when the criterion fails.
     """
     l0 = _check_lambda0(lam0)
+    t = complex(t)
+    _check_t(t)
     xp = as_cpoint3(x)
     feasible, margin = schwarz_feasible(l0, xp)
     if not feasible:
@@ -455,14 +454,14 @@ def solve_schwarz(lam0, x, t=0.0) -> Interpolant:
         Z = mat2(a / l0, w, w, 0.0)
         return Interpolant(
             variant="scaled_line", lambda0=l0, x=xp, Z=Z,
-            t=complex(t), flipped=flipped, mode="line",
+            t=t, flipped=flipped, mode="line",
         )
 
     if is_triangular(xs):
         Z = mat2(a / l0, 0.0, 0.0, b / l0)
         return Interpolant(
             variant="scaled_line", lambda0=l0, x=xp, Z=Z,
-            t=complex(t), flipped=flipped, mode="diag",
+            t=t, flipped=flipped, mode="diag",
         )
 
     if margin <= EXTREMAL_RTOL * abs(l0):
@@ -485,16 +484,16 @@ def solve_schwarz(lam0, x, t=0.0) -> Interpolant:
         scalar = scalar_np2(0.0, g0, l0, s, t)
         return Interpolant(
             variant="svd_reduced", lambda0=l0, x=xp, Z=Z,
-            scalar_g=scalar, t=complex(t), flipped=flipped,
+            scalar_g=scalar, t=t, flipped=flipped,
             _U1=U, _U2s=Vh, _c=c,
-            _scalar_params=(0.0 + 0.0j, complex(g0), l0, complex(s), complex(t)),
+            _scalar_params=(0.0 + 0.0j, complex(g0), l0, complex(s), t),
         )
 
     ws = SchwarzWorkspace.build(l0, xs)
     parts = _assemble_mobius(ws)
     return Interpolant(
         variant="mobius_blaschke", lambda0=l0, x=xp,
-        t=complex(t), flipped=flipped, **parts,
+        t=t, flipped=flipped, **parts,
     )
 
 

@@ -177,9 +177,29 @@ def mobius_matricial(Z, X) -> CMat2:
     Xm = as_cmat2(X)
     if op_norm(Zm) >= 1.0:
         raise NormTooLarge(f"op_norm(Z) = {op_norm(Zm):.6f} >= 1")
-    left = inv2(sqrt_psd(_I2 - Zm @ Zm.conj().T))
-    right = sqrt_psd(_I2 - Zm.conj().T @ Zm)
-    return left @ (Xm - Zm) @ inv2(_I2 - Zm.conj().T @ Xm) @ right
+    return _mobius(Zm, Xm, *_defect_factors(Zm))
+
+
+def _defect_factors(Z) -> tuple[CMat2, CMat2]:
+    """The factors (1 - Z Z*)^{-1/2} and (1 - Z* Z)^{1/2} of M_Z, for
+    op_norm(Z) < 1; they are the same for -Z."""
+    Zs = Z.conj().T
+    return inv2(sqrt_psd(_I2 - Z @ Zs)), sqrt_psd(_I2 - Zs @ Z)
+
+
+def _mobius(Z, X, isqrt_w, sqrt_y):
+    """M_Z(X) from the defect factors of Z (see :func:`_defect_factors`),
+    for a 2x2 X or an (n, 2, 2) stack.  The products with a per-matrix
+    factor on both sides go through np.matmul, which rounds each matrix of
+    a stack as it rounds a lone 2x2 product."""
+    P = np.matmul(isqrt_w @ (X - Z), inv2(_I2 - Z.conj().T @ X))
+    return _right_const(P, sqrt_y)
+
+
+def _right_const(G, C):
+    """G @ C for a 2x2 matrix or a stack G and a constant 2x2 C: the (2n, 2)
+    stack of rows times C at once."""
+    return (G.reshape(-1, 2) @ C).reshape(G.shape)
 
 
 def pi_map(A) -> tuple:

@@ -82,8 +82,14 @@ def mu_scaling_oracle(A) -> float:
     NumericalDegenerate when the scaled norms overflow.
     """
     M = as_cmat2(A)
+
+    def f(s: float) -> float:
+        return op_norm(_dscale(M, s))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _golden_min(lambda s: op_norm(_dscale(M, s)), 1e-9)
+        grid = np.linspace(-12.0, 12.0, 121)
+        k = int(np.argmin([f(s) for s in grid]))
+        value = _golden_section(f, grid[max(k - 1, 0)], grid[min(k + 1, 120)], 1e-9)
     if not math.isfinite(value):
         raise NumericalDegenerate(f"the diagonal scaling search overflows: {value}")
     return value
@@ -93,17 +99,6 @@ def _dscale(T, s: float):
     """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1)."""
     d = math.exp(s)
     return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
-
-
-def _golden_min(f, tol: float) -> float:
-    """Minimum of a unimodal f on [-12, 12]: the best point of a 121-point
-    grid brackets it, then golden-section search narrows the bracket below
-    ``tol``."""
-    grid = np.linspace(-12.0, 12.0, 121)
-    vals = [f(s) for s in grid]
-    k = int(np.argmin(vals))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    return _golden_section(f, lo, hi, tol)
 
 
 def _golden_section(f, lo, hi, tol: float) -> float:
@@ -127,40 +122,39 @@ def _golden_section(f, lo, hi, tol: float) -> float:
     return min(fc, fd)
 
 
+def _corners(M) -> tuple[bool, bool]:
+    """Whether the upper and the lower off-diagonal corner of a 2x2 matrix
+    are nonzero beyond ``_OFFDIAG_TOL``."""
+    return abs(M[0, 1]) > _OFFDIAG_TOL, abs(M[1, 0]) > _OFFDIAG_TOL
+
+
 def _corner_shape(A1) -> tuple[str, complex]:
     """Classify A1 as 'upper'/'lower'/'zero' one-corner shape; returns the
     corner scalar zeta."""
     M = as_cmat2(A1)
     if max(abs(M[0, 0]), abs(M[1, 1])) > _OFFDIAG_TOL:
         raise BadShape("A1 must have zero diagonal")
-    up, low = complex(M[0, 1]), complex(M[1, 0])
-    if abs(up) > _OFFDIAG_TOL and abs(low) > _OFFDIAG_TOL:
+    up, low = _corners(M)
+    if up and low:
         raise BadShape("A1 must have at most one nonzero corner")
-    if abs(up) > _OFFDIAG_TOL:
-        return "upper", up
-    if abs(low) > _OFFDIAG_TOL:
-        return "lower", low
+    if up:
+        return "upper", complex(M[0, 1])
+    if low:
+        return "lower", complex(M[1, 0])
     return "zero", 0.0 + 0.0j
 
 
 class SynthesisInstance:
     """Two-point synthesis data: nodes 0 and lambda0, targets A1 (one-corner
-    or zero shape, with corner scalar zeta) and A2 (non-diagonal)."""
+    or zero shape, with corner scalar zeta read from A1) and A2
+    (non-diagonal)."""
 
-    def __init__(self, lambda0, A1, A2, zeta=None):
+    def __init__(self, lambda0, A1, A2):
         self.lambda0 = _check_lambda0(lambda0)
         self.A1 = as_cmat2(A1)
         self.A2 = as_cmat2(A2)
-        self.shape, corner = _corner_shape(self.A1)
-        if zeta is not None and abs(complex(zeta) - corner) > 1e-12 * (
-            1.0 + abs(corner)
-        ):
-            raise BadShape(f"zeta = {zeta} does not match the corner of A1")
-        self.zeta = corner
-        if (
-            abs(self.A2[0, 1]) <= _OFFDIAG_TOL
-            and abs(self.A2[1, 0]) <= _OFFDIAG_TOL
-        ):
+        self.shape, self.zeta = _corner_shape(self.A1)
+        if not any(_corners(self.A2)):
             raise BadShape(
                 "diagonal A2 targets need tangential (derivative) conditions, "
                 "which are out of scope here"
@@ -216,6 +210,7 @@ def synth_two_point(inst: SynthesisInstance):
         raise Outside("pi(A2) must lie in the open tetrablock")
     a, b, p = x
     c, d = complex(A2[0, 1]), complex(A2[1, 0])
+    a2_upper, a2_lower = _corners(A2)
 
     if inst.shape == "zero":
         scaled = (a / l0, b / l0, p / (l0 * l0))
@@ -228,7 +223,7 @@ def synth_two_point(inst: SynthesisInstance):
         return False, None
 
     upper = inst.shape == "upper"
-    if abs(c) > _OFFDIAG_TOL and abs(d) > _OFFDIAG_TOL:
+    if a2_upper and a2_lower:
         phi = solve_schwarz(l0, x)
         w_at = phi.lift_evaluate(l0)[0, 1]
         if upper:
@@ -237,7 +232,6 @@ def synth_two_point(inst: SynthesisInstance):
         return True, _conjugated_lift(phi, d / w_at, transpose=True)
 
     # triangular A2: one off-diagonal corner only
-    a2_upper = abs(c) > _OFFDIAG_TOL
     if a2_upper == upper:
         # matching orientation: scale the diagonal, keep the corner constant
         return True, _triangular_corner_lift(A2, l0)
@@ -252,12 +246,11 @@ def synth_two_point_general(lam1, lam2, A, B) -> bool:
     Schwarz-Pick criterion at the triangular base point pi(A)."""
     Am = as_cmat2(A)
     Bm = as_cmat2(B)
-    up_a, low_a = abs(Am[0, 1]), abs(Am[1, 0])
-    if up_a > _OFFDIAG_TOL and low_a > _OFFDIAG_TOL:
+    if all(_corners(Am)):
         raise BadShape("A must be triangular")
-    if up_a <= _OFFDIAG_TOL and low_a <= _OFFDIAG_TOL:
+    if not any(_corners(Am)):
         raise BadShape("A must not be diagonal")
-    if abs(Bm[0, 1]) <= _OFFDIAG_TOL and abs(Bm[1, 0]) <= _OFFDIAG_TOL:
+    if not any(_corners(Bm)):
         raise BadShape("B must not be diagonal")
     return schwarz_pick_triangular(lam1, lam2, pi_map(Am), pi_map(Bm)).feasible
 
@@ -298,13 +291,13 @@ def bft_lower_bound(points, targets) -> float:
     norm of the operator sending k_{lambda_j} (x) xi to itself with block
     (D_j F_j D_j^{-1})* on the j-th kernel slot.
 
-    This is a numerical infimum: for one node the grid and golden-section
-    search of :func:`mu_scaling_oracle` on log d, about 170 norm
-    evaluations; for two nodes a 41-point grid and golden-section search on
-    log d_1, each of whose probes is a 48-evaluation golden-section search
-    on log d_2, about 4000 in all.  It is an upper bound on the true
-    infimum, with no claim that the infimum is attained.  For a single node
-    it reproduces mu_diag of the target.
+    For one node the 2x2 Gram factor is a scalar and cancels, so this is
+    :func:`mu_scaling_oracle` of the target, which equals its mu_diag.  For
+    two nodes it is a numerical infimum: a 41-point grid and golden-section
+    search on log d_1, each of whose probes is a 48-evaluation
+    golden-section search on log d_2, about 4000 norm evaluations in all.
+    It is an upper bound on the true infimum, with no claim that the
+    infimum is attained.
     """
     pts = [complex(z) for z in points]
     mats = [as_cmat2(T) for T in targets]
@@ -322,7 +315,7 @@ def bft_lower_bound(points, targets) -> float:
         return 0.0
 
     if n == 1:
-        return _golden_min(lambda s: _bft_norm(pts, [_dscale(mats[0], s)]), 1e-10)
+        return mu_scaling_oracle(mats[0])
 
     # golden section on log d_1 between the grid neighbours of the best
     # grid point, on log d_2 over [-18, 18]: the wide ranges let the

@@ -35,6 +35,7 @@ from .errors import (
     OnTorus,
     Outside,
     OutsideDisc,
+    Pole,
     PoleAtZ,
 )
 from .linalg import mat2
@@ -375,6 +376,21 @@ def in_distinguished_boundary(x, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
+def _act_left(om: complex, al: complex, x: CPoint3) -> CPoint3:
+    """Left action of the disc automorphism z -> om (z - al)/(conj(al) z - 1)
+    on a validated point, in closed form."""
+    x1, x2, x3 = x
+    alc = al.conjugate()
+    den = 1.0 - alc * x1
+    if abs(den) < 1e-14:
+        raise Pole("left action pole: conj(alpha) * x1 = 1")
+    return (
+        om * (al - x1) / den,
+        (x2 - alc * x3) / den,
+        om * (al * x2 - x3) / den,
+    )
+
+
 def peak_function(x0, tol: float = DEFAULT_TOL):
     """Peaking function for a distinguished-boundary point.
 
@@ -402,16 +418,9 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
     # (omega, alpha) = (conj(x3), x3 conj(x2)) = (conj(x3), x1)
     om = x3.conjugate()
     al = x3 * x2.conjugate()
-    alc = al.conjugate()
 
     def g_nontri(y) -> complex:
-        y1, y2, y3 = as_cpoint3(y)
-        den = 1.0 - alc * y1
-        if abs(den) < 1e-14:
-            raise NumericalDegenerate("automorphism pole hit on the closure")
-        z1 = om * (al - y1) / den
-        z2 = (y2 - alc * y3) / den
-        z3 = om * (al * y2 - y3) / den
+        z1, z2, z3 = _act_left(om, al, as_cpoint3(y))
         return ((z3 - z1 * z2) - 1.0) / 2.0
 
     return g_nontri

@@ -15,6 +15,7 @@ from tetra.autgroup import (
 from tetra.errors import (
     BadLambda,
     NotTriangular,
+    NotUnimodular,
     Outside,
     OutsideDisc,
     Pole,
@@ -40,6 +41,13 @@ def test_discaut_validates():
         DiscAut(1.0, 1.0)
     with pytest.raises(ValueError):
         DiscAut(0.5, 0.0)  # omega must be unimodular
+
+
+def test_discaut_rejects_nan():
+    with pytest.raises(NotUnimodular):
+        DiscAut(complex("nan"), 0.0)
+    with pytest.raises(OutsideDisc):
+        DiscAut(1.0, complex("nan"))
 
 
 def test_discaut_maps_disc_to_disc(rng):

@@ -214,6 +214,56 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert doc3["passed"] is True
 
 
+@pytest.mark.parametrize("variant, flipped, argv", [
+    ("scaled_line", False, ("--lambda0", "-0.8", "--point", "[0.3, 0, 0.05]")),
+    ("scaled_line", False, ("--lambda0", "0.8", "--point", "[0.3, 0.2, 0.06]")),
+    ("mobius_blaschke", False, ("--lambda0", "-0.6", "--point", "[0.3, 0.2, 0.1]")),
+    ("mobius_blaschke", True, ("--lambda0", "-0.6", "--point", "[0.2, 0.3, 0.1]")),
+    ("svd_reduced", False, (
+        "--lambda0", "-0.8", "--point", "[0.5, 0.25, 0.5]", "--t", "[0.3, -0.4]",
+    )),
+    ("sigma_family", False, (
+        "--lambda0", "-0.6", "--point", "[0.3, 0.2, 0.1]", "--sigma", "1.1",
+    )),
+])
+def test_every_variant_round_trips_through_verify(tmp_path, capsys, variant,
+                                                  flipped, argv):
+    audit = ("--samples", "64", "--seed", "7")
+    doc = check(capsys, "interp", "interp", *argv, *audit)
+    assert (doc["variant"], doc["flipped"]) == (variant, flipped)
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(doc))
+    doc2 = check(capsys, "verify", "verify", "--interpolant", str(solution), *audit)
+    assert doc2["report"] == doc["verification"]
+
+
+@pytest.mark.parametrize("t", ["[5, 0]", "[NaN, 0]"])
+def test_interp_rejects_t_outside_the_disc(capsys, t):
+    rc, out, err = invoke(
+        capsys, "interp", "--lambda0", "[-0.6, 0]", "--point", "[0.3, 0.2, 0.1]",
+        "--t", t,
+    )
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "OutsideDisc"
+
+
+@pytest.mark.parametrize("omega, alpha, kind", [
+    ("NaN", "0", "NotUnimodular"),
+    ("1", "NaN", "OutsideDisc"),
+])
+def test_auto_rejects_nan_automorphisms(capsys, omega, alpha, kind):
+    rc, out, err = invoke(
+        capsys, "auto", "--op", "left", "--x", "[0.1, 0.2, 0.02]",
+        "--omega", omega, "--alpha", alpha,
+    )
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == kind
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_audit_needs_a_sample(tmp_path, capsys, samples):
     doc = check(
@@ -323,14 +373,11 @@ def test_output_is_deterministic(capsys):
     assert out3 == out4
 
 
-def test_tol_env_and_flag(capsys, monkeypatch):
+def test_tol_flag(capsys):
     doc = check(
         capsys, "member", "--tol", "1e-6", "member", "--point", "[0.5, 0.25, 0.5]",
     )
     assert doc["provenance"]["tolerances"]["margin"] == pytest.approx(1e-6)
-    monkeypatch.setenv("TETRA_TOL", "1e-7")
-    doc2 = check(capsys, "member", "member", "--point", "[0.5, 0.25, 0.5]")
-    assert doc2["provenance"]["tolerances"]["margin"] == pytest.approx(1e-7)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -202,6 +202,24 @@ def test_scalar_np2_guards():
         scalar_np2(0.0, 0.1, 0.5, 0.2, 1.5)
 
 
+def test_scalar_np2_rejects_a_nan_t():
+    with pytest.raises(OutsideDisc):
+        scalar_np2(0.0, 0.1, 0.5, 0.2, complex("nan"))
+
+
+@pytest.mark.parametrize("lam0, x", [
+    (-0.8, (0.3, 0.0, 0.05)),    # scaled line
+    (0.8, (0.3, 0.2, 0.06)),     # triangular
+    (-0.6, (0.3, 0.2, 0.1)),     # Moebius transport
+    (-0.8, (0.5, 0.25, 0.5)),    # extremal, the only branch that uses t
+])
+def test_solve_schwarz_checks_t_on_every_branch(lam0, x):
+    for t in (5.0, complex("nan"), complex(0.0, 1.0 + 1e-9)):
+        with pytest.raises(OutsideDisc):
+            solve_schwarz(lam0, x, t=t)
+    assert solve_schwarz(lam0, x, t=1j).t == 1j
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     w2r=st.floats(-0.6, 0.6),

@@ -132,8 +132,6 @@ def test_synthesis_instance_validation():
     with pytest.raises(BadShape):
         SynthesisInstance(0.7, UPPER + LOWER, A2_FULL)  # two corners
     with pytest.raises(BadShape):
-        SynthesisInstance(0.7, UPPER, A2_FULL, zeta=2.0)  # corner mismatch
-    with pytest.raises(BadShape):
         SynthesisInstance(0.7, UPPER, np.diag([0.5, 0.25]))  # diagonal A2
 
 

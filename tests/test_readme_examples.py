@@ -10,7 +10,6 @@ and name the change in CHANGES.md.
 import contextlib
 import io
 import json
-import os
 import shlex
 import sys
 from pathlib import Path
@@ -57,8 +56,7 @@ def test_readme_lists_the_examples():
     }
 
 
-def test_readme_examples_match_golden(tmp_path, monkeypatch):
-    monkeypatch.delenv("TETRA_TOL", raising=False)
+def test_readme_examples_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = run_examples(tmp_path)
     assert list(got) == list(golden)
@@ -69,7 +67,6 @@ def test_readme_examples_match_golden(tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("TETRA_TOL", None)
     with tempfile.TemporaryDirectory() as tmp:
         records = run_examples(Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)

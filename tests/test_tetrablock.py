@@ -14,6 +14,7 @@ from tetra.errors import (
     OnTorus,
     Outside,
     OutsideDisc,
+    Pole,
     PoleAtZ,
 )
 from tetra.linalg import op_norm, pi_map
@@ -301,6 +302,14 @@ def test_peak_function_triangular_branch():
 def test_peak_function_rejects_off_boundary():
     with pytest.raises(NotPeak):
         peak_function((0.5, 0.25, 0.5))
+
+
+def test_peak_function_pole_is_the_left_action_pole():
+    # x0 = (conj(x2) x3, x2, x3) transports by alpha = x3 conj(x2) = 0.5;
+    # its pole conj(alpha) y1 = 1 needs |y1| = 2, outside the closure
+    g = peak_function((0.5, 0.5, 1.0))
+    with pytest.raises(Pole):
+        g((2.0, 0.0, 0.0))
 
 
 # --- separation and representation ---------------------------------------

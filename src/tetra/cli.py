@@ -312,7 +312,7 @@ def _cmd_auto(args, tol: float):
 def _cmd_verify(args, tol: float):
     with open(args.interpolant) as fh:
         payload = json.load(fh)
-    if "interpolant" in payload:
+    if isinstance(payload, dict) and "interpolant" in payload:
         payload = payload["interpolant"]
     phi = Interpolant.from_payload(payload)
     report = verify_interpolant(phi, samples=args.samples, seed=args.seed, tol=tol)
@@ -375,6 +375,10 @@ def _build_parser() -> _Parser:
     return p
 
 
+# argparse keeps no state between parses (each returns a fresh Namespace and
+# _Parser.error raises), so one parser serves every run() in the process.
+_PARSER = _build_parser()
+
 _HANDLERS = {
     "member": _cmd_member,
     "dist": _cmd_dist,
@@ -389,9 +393,8 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     """Parse argv, execute one subcommand, print its JSON document."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         out, code = _HANDLERS[args.cmd](args, args.tol)
     except (_UsageError, TetraError, ValueError, OSError) as exc:
         _emit({"error": {"type": exc.__class__.__name__, "message": str(exc)}},

@@ -112,6 +112,11 @@ class SigmaOutOfRange(TetraError):
     """sigma**2 lies outside the admissible open interval (xi1, xi2)."""
 
 
+class BadPayload(TetraError, ValueError):
+    """A stored interpolant payload is not a JSON object with a known
+    variant and well-formed lambda0, x (and sigma, t, Z where read)."""
+
+
 class BadSamples(TetraError, ValueError):
     """A sampled audit was asked for fewer than one sample, or a grid oracle
     for fewer than two grid points."""

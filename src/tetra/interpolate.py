@@ -27,6 +27,7 @@ import numpy as np
 from .autgroup import pseudohyperbolic
 from .errors import (
     BadLambda,
+    BadPayload,
     BadSamples,
     Extremal,
     Infeasible,
@@ -363,13 +364,22 @@ class Interpolant:
     @staticmethod
     def from_payload(payload: dict) -> "Interpolant":
         """Rebuild deterministically by re-solving from (lambda0, x) and the
-        recorded variant parameters, then cross-check the stored Z."""
-        l0 = complex(*payload["lambda0"])
-        x = tuple(complex(*c) for c in payload["x"])
-        t = complex(*payload.get("t", [0.0, 0.0]))
-        variant = payload["variant"]
+        recorded variant parameters, then cross-check the stored Z.  Raises
+        BadPayload when the payload does not have that form."""
+        if not isinstance(payload, dict):
+            raise BadPayload(f"a payload is a JSON object, got {payload!r}")
+        variant = payload.get("variant")
+        if not isinstance(variant, str) or variant not in _LIFTS:
+            raise BadPayload(f"unknown interpolant variant {variant!r}")
+        l0 = _payload_complex(payload.get("lambda0"), "lambda0")
+        x = _payload_list(payload.get("x"), 3, "x")
+        x = tuple(_payload_complex(c, "x") for c in x)
+        t = _payload_complex(payload.get("t", [0.0, 0.0]), "t")
         if variant == "sigma_family":
-            phi = solve_with_sigma(l0, x, payload["sigma"])
+            sigma = payload.get("sigma")
+            if not isinstance(sigma, (int, float)):
+                raise BadPayload(f"payload entry 'sigma' is not a number: {sigma!r}")
+            phi = solve_with_sigma(l0, x, sigma)
         else:
             phi = solve_schwarz(l0, x, t=t)
         if phi.variant != variant:
@@ -377,12 +387,30 @@ class Interpolant:
                 f"payload says {variant!r} but re-solving gives {phi.variant!r}"
             )
         if "Z" in payload and phi.Z is not None:
-            Zs = np.array(
-                [[complex(*payload["Z"][i][j]) for j in (0, 1)] for i in (0, 1)]
-            )
+            Zs = np.array([
+                [_payload_complex(z, "Z") for z in _payload_list(row, 2, "Z")]
+                for row in _payload_list(payload["Z"], 2, "Z")
+            ])
             if float(np.max(np.abs(Zs - phi.Z))) > 1e-9:
                 raise NumericalDegenerate("stored Z disagrees with the re-solve")
         return phi
+
+
+def _payload_list(v, n: int, key: str) -> list:
+    """The payload entry ``key`` (or one of its rows), a list of n items."""
+    if not isinstance(v, list) or len(v) != n:
+        raise BadPayload(f"payload entry {key!r} must be a list of {n}, got {v!r}")
+    return v
+
+
+def _payload_complex(v, key: str) -> complex:
+    """A complex number stored as an [re, im] pair of finite JSON numbers."""
+    if not all(
+        isinstance(c, (int, float)) and math.isfinite(c)
+        for c in _payload_list(v, 2, key)
+    ):
+        raise BadPayload(f"payload entry {key!r} is not a finite [re, im] pair: {v!r}")
+    return complex(*v)
 
 
 def _per_point(v):

@@ -78,8 +78,10 @@ def mu_scaling_oracle(A) -> float:
     :func:`mu_diag`.  The norm is unimodal in log d — its squared value is
     an increasing function of |a12|^2 d^2 + |a21|^2 / d^2 with the other
     invariants fixed — so a coarse grid plus golden-section search on
-    log d in [-12, 12] finds the infimum reliably.  Raises
-    NumericalDegenerate when the scaled norms overflow.
+    log d in [-12, 12] finds the infimum reliably.  The 121-point grid is
+    one stacked :func:`op_norm` call, which gives each scaled matrix
+    exactly its scalar norm; the golden-section refinement is scalar.
+    Raises NumericalDegenerate when the scaled norms overflow.
     """
     M = as_cmat2(A)
 
@@ -88,17 +90,26 @@ def mu_scaling_oracle(A) -> float:
 
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.linspace(-12.0, 12.0, 121)
-        k = int(np.argmin([f(s) for s in grid]))
+        k = int(np.argmin(op_norm(_dscale(M, grid))))
         value = _golden_section(f, grid[max(k - 1, 0)], grid[min(k + 1, 120)], 1e-9)
     if not math.isfinite(value):
         raise NumericalDegenerate(f"the diagonal scaling search overflows: {value}")
     return value
 
 
-def _dscale(T, s: float):
-    """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1)."""
-    d = math.exp(s)
-    return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
+def _dscale(T, s):
+    """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1); for a 1-D array of
+    s, the (n, 2, 2) stack of these matrices, each one exactly the matrix
+    its s gives alone (``math.exp`` per point, as ``np.exp`` may round
+    differently)."""
+    if not isinstance(s, np.ndarray):
+        d = math.exp(s)
+        return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
+    d = np.array([math.exp(v) for v in s])
+    S = np.empty((len(d), 2, 2), dtype=complex)
+    S[:, 0, 0], S[:, 1, 1] = T[0, 0], T[1, 1]
+    S[:, 0, 1], S[:, 1, 0] = T[0, 1] * d, T[1, 0] / d
+    return S
 
 
 def _golden_section(f, lo, hi, tol: float) -> float:

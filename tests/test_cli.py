@@ -7,10 +7,14 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from tetra import cli
 from tetra.autgroup import DiscAut
 from tetra.cli import run
-from tetra.errors import BadSamples, NonFinite, NotUnimodular, TetraError
+from tetra.errors import BadPayload, BadSamples, NonFinite, NotUnimodular, TetraError
+from tetra.interpolate import Interpolant
 from tetra.tetrablock import as_cpoint3, membership_grid_oracle
+
+from test_readme_examples import run_examples
 
 SCHEMAS = {}
 for name in (
@@ -237,6 +241,42 @@ def test_every_variant_round_trips_through_verify(tmp_path, capsys, variant,
     assert doc2["report"] == doc["verification"]
 
 
+_LINE = {"variant": "scaled_line", "lambda0": [-0.8, 0.0],
+         "x": [[0.3, 0.0], [0.0, 0.0], [0.05, 0.0]]}
+_SIGMA = {"variant": "sigma_family", "lambda0": [-0.6, 0.0],
+          "x": [[0.3, 0.0], [0.2, 0.0], [0.1, 0.0]]}
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    5,
+    {"interpolant": 5},
+    {"interpolant": [1, 2]},
+    {"variant": "mobius_blaschke"},
+    {**_LINE, "variant": None},
+    {**_LINE, "variant": ["scaled_line"]},
+    {**_LINE, "variant": "no_such_variant"},
+    {**_LINE, "lambda0": [-0.8]},
+    {**_LINE, "lambda0": "-0.8"},
+    {**_LINE, "lambda0": [math.nan, 0.0]},
+    {**_LINE, "x": [[0.3, 0.0], [0.0, 0.0]]},
+    {**_LINE, "x": [[0.3, 0.0], [0.0, 0.0], ["0.05", 0.0]]},
+    {**_LINE, "t": [0.1]},
+    {**_LINE, "Z": [[0.0, 0.0]]},
+    {**_LINE, "Z": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    _SIGMA,
+    {**_SIGMA, "sigma": "1.1"},
+])
+def test_verify_rejects_a_malformed_payload(tmp_path, capsys, payload):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(payload))
+    rc, out, err = invoke(capsys, "verify", "--interpolant", str(solution))
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "BadPayload"
+
+
 @pytest.mark.parametrize("t", ["[5, 0]", "[NaN, 0]"])
 def test_interp_rejects_t_outside_the_disc(capsys, t):
     rc, out, err = invoke(
@@ -335,6 +375,7 @@ def test_malformed_values_raise_typed_value_errors(capsys):
         (NonFinite, lambda: as_cpoint3((math.inf, 0.0, 0.0))),
         (NotUnimodular, lambda: DiscAut(2.0, 0.0)),
         (BadSamples, lambda: membership_grid_oracle((0.0, 0.0, 0.0), n=1)),
+        (BadPayload, lambda: Interpolant.from_payload([1, 2])),
     )
     for cls, call in cases:
         assert issubclass(cls, TetraError) and issubclass(cls, ValueError)
@@ -358,6 +399,41 @@ def test_usage_error_is_machine_readable(capsys):
     rc3, _, err3 = invoke(capsys, "auto", "--op", "diamond", "--x", "[0,0,0]")
     assert rc3 == 1
     assert json.loads(err3)["error"]["type"] == "_UsageError"
+
+
+def test_shared_parser_keeps_no_state_between_runs(tmp_path, capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording_parse_args)
+
+    def outcome(*argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = (
+        ("auto", "--op", "diamond", "--x", "[0, 0, 0]"),        # usage error
+        ("member", "--point", "[0.5, 0.25, 0.5]", "--closed", "--bogus"),
+        ("--help",),
+        ("member", "--point", "[1e400, 0, 0]"),                  # TetraError
+        ("--tol", "1e-3", "member", "--closed", "--point", "[1, 0.5, 0.5]"),
+    )
+    readme = run_examples(tmp_path)
+    first = [outcome(*argv) for argv in calls]
+    assert readme == run_examples(tmp_path)
+    assert first == [outcome(*argv) for argv in calls]
+    assert [code for code, _, _ in first] == [1, 1, ("SystemExit", 0), 1, 0]
+    assert first[2][1].startswith("usage: tetra")
+    assert len(parsers) == 2 * (len(readme) + len(calls))
+    assert all(p is parsers[0] for p in parsers)
 
 
 def test_output_is_deterministic(capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from tetra.errors import BadShape, NumericalDegenerate, Outside, TooManyPoints
-from tetra.linalg import op_norm, pi_map
+from tetra.linalg import as_cmat2, mat2, op_norm, pi_map
 from tetra.musyn import (
     SynthesisInstance,
+    _dscale,
     bft_lower_bound,
     lift_to_sigma,
     mu_diag,
@@ -89,6 +90,64 @@ def test_mu_scaling_oracle_matches_closed_form(rng):
         assert mu_scaling_oracle(A) == pytest.approx(
             closed_form_scaled_norm(A), abs=1e-8
         )
+
+
+def per_point_dscale(M, s):
+    # diag(e^s, 1) M diag(e^-s, 1) for one s, as a scalar computation
+    d = math.exp(s)
+    return mat2(M[0, 0], M[0, 1] * d, M[1, 0] / d, M[1, 1])
+
+
+def per_point_scaling_oracle(A):
+    # the scaling search with one op_norm call per grid point, then golden
+    # section between the grid neighbours of the best point
+    M = as_cmat2(A)
+
+    def f(s):
+        return op_norm(per_point_dscale(M, s))
+
+    grid = np.linspace(-12.0, 12.0, 121)
+    k = int(np.argmin([f(s) for s in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 120)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 1e-9:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def test_stacked_scaling_grid_matches_the_per_point_search():
+    # entry scales from 1e-6 to 1e6, zero upper, lower or both corners, real
+    # matrices: the stacked grid gives each point the bytes it gives alone,
+    # and the oracle (so the one-node bound) equals the per-point search
+    rng = np.random.default_rng(10)
+    grid = np.linspace(-12.0, 12.0, 121)
+    for i in range(320):
+        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        A *= 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 2))
+        if i % 5 in (1, 3):
+            A[0, 1] = 0.0
+        if i % 5 in (2, 3):
+            A[1, 0] = 0.0
+        if i % 5 == 4:
+            A = A.real.astype(complex)
+        M = as_cmat2(A)
+        stack = _dscale(M, grid)
+        for k in range(0, 121, 4):
+            assert stack[k].tobytes() == _dscale(M, grid[k]).tobytes()
+            assert stack[k].tobytes() == per_point_dscale(M, grid[k]).tobytes()
+        expected = per_point_scaling_oracle(A)
+        assert mu_scaling_oracle(A) == expected
+        if i % 8 == 0:
+            assert bft_lower_bound([0.3 - 0.2j], [A]) == expected
 
 
 def test_mu_diag_invariant_under_diagonal_conjugation(rng):

@@ -11,7 +11,6 @@ pseudohyperbolic distance of the disc that criterion compares against
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,9 +23,7 @@ from .errors import (
     OutsideDisc,
     Pole,
 )
-from .tetrablock import (
-    CPoint3, _act_left, as_cpoint3, criterion_max, is_triangular, membership,
-)
+from .tetrablock import CPoint3, _act_left, as_cpoint3, is_triangular, membership
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -158,10 +155,8 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
     Decides whether an analytic map of the disc into the closure can send
     lam1 -> x and lam2 -> y, for x triangular in E and y in E: the explicit
     two-term maximum below must not exceed the pseudohyperbolic distance
-    d(lam1, lam2).  The closed form is cross-checked internally against the
-    normalisation oracle (move x to the origin, measure the image of y from
-    the origin); disagreement beyond 1e-9 is flagged as an internal error.
-    Equality (margin 0) is feasible for closure-valued maps only.
+    d(lam1, lam2).  Equality (margin 0) is feasible for closure-valued maps
+    only.
     """
     l1, l2 = complex(lam1), complex(lam2)
     if abs(l1) >= 1.0 or abs(l2) >= 1.0:
@@ -197,13 +192,4 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
     if den1 <= 1e-14 or den2 <= 1e-14:
         raise NumericalDegenerate("Schwarz-Pick denominator not positive")
     lhs = max(num1 / den1, num2 / den2)
-
-    v, chi = normalize_triangular((x1, x2, x3))
-    y_moved = act_right(act_left(v, (y1, y2, y3)), chi)
-    oracle = criterion_max(y_moved)
-    if not math.isfinite(oracle) or abs(lhs - oracle) > 1e-9 * (1.0 + abs(lhs)):
-        raise NumericalDegenerate(
-            f"closed form {lhs!r} and normalisation oracle {oracle!r} disagree"
-        )
-
     return SchwarzPickResult(lhs <= pseudohyperbolic(l1, l2) + 1e-12, lhs)

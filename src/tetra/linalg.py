@@ -3,9 +3,9 @@
 Everything downstream works with 2x2 complex matrices: Schur-class values,
 matrix representatives of tetrablock points, and the matricial Moebius
 transformation of the operator unit ball.  This module keeps all of that in
-closed form — singular values from trace/determinant, the PSD square root of a
-2x2 Hermitian matrix, and the Moebius map itself — so no general-purpose
-eigensolver sits on the hot path.
+closed form — singular values and Hermitian eigenvalues from one formula
+(:func:`_sv2`), the PSD square root of a 2x2 Hermitian matrix, and the Moebius
+map itself — so no general-purpose eigensolver sits on the hot path.
 
 A ``CMat2`` is simply a (2, 2) complex ``numpy`` array; ``CVec2`` a length-2
 complex array.  Helpers below validate and coerce.  ``op_norm``, ``inv2`` and
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -47,7 +48,9 @@ def as_cmat2(A, stack: bool = False) -> CMat2:
 
 
 def _complex(re, im):
-    """The complex array re + i im, signed zeros kept."""
+    """The complex array re + i im, signed zeros kept (a scalar for floats)."""
+    if isinstance(re, float):
+        return complex(re, im)
     out = np.empty(np.shape(re), dtype=complex)
     out.real = re
     out.imag = im
@@ -94,30 +97,51 @@ def _det(m11, m12, m21, m22):
     return _cmul(m11, m22) - _cmul(m12, m21)
 
 
-def op_norm(A):
-    """Largest singular value of a 2x2 matrix, in closed form; for an
-    (n, 2, 2) stack, the array of the n norms.
+def _sv2(a, b, c, d):
+    """Singular values (largest, smallest) of the 2x2 matrix [[a, b], [c, d]].
 
-    Uses s^2 = (t +/- sqrt(t^2 - 4d))/2 with t = trace(A*A) and
-    d = |det A|^2; the radicand is clamped at zero to absorb rounding.
+    With phi = det/|det| (1 where det = 0) the matrix is p U + q V with U, V
+    unitary and U* V a reflection, so the largest singular value is p + q,
+    ``p = |(a + phi conj d, b - phi conj c)| / 2``,
+    ``q = |(a - phi conj d, b + phi conj c)| / 2``, and the smallest is
+    |det| / (p + q), 0 for the zero matrix: nothing cancels near repeated
+    singular values.  NumPy scalars and arrays give each element exactly its
+    scalar result (products rounded by :func:`_cmul`).
     """
+    if type(a) is complex:  # plain Python arithmetic: membership's hot path
+        det = a * d - b * c
+        r = abs(det)
+        p, q = _halves(a, b, c, d, det / r if r else 1.0)
+    else:
+        det = _det(a, b, c, d)
+        r = np.abs(det)
+        zero = r == 0
+        s = r + zero
+        phi = _complex(det.real / s + zero, det.imag / s)
+        p, q = _halves(a, b, c, d, phi, _cmul, np.abs, np.hypot)
+    top = p + q
+    return top, r / (top + (top == 0))
+
+
+def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):
+    """The p and q of :func:`_sv2` for the unimodular phi."""
+    u, v = mul(phi, d.conjugate()), mul(phi, c.conjugate())
+    return hypot(mod(a + u), mod(b - v)) / 2.0, hypot(mod(a - u), mod(b + v)) / 2.0
+
+
+def op_norm(A):
+    """Largest singular value of a 2x2 matrix, or the array of them for an
+    (n, 2, 2) stack: p + q of :func:`_sv2`, the norms of the two scaled
+    unitaries that A splits into once det A is turned onto the positive axis."""
     M = as_cmat2(A, stack=True)
-    s11, s12, s21, s22 = _entries(np.abs(M) ** 2)
-    t = s11 + s12 + s21 + s22
-    det = _det(*_entries(M))
-    # hypot, then pow: rounded to the last bit as Python's abs(det) ** 2
-    d = np.float_power(np.hypot(det.real, det.imag), 2.0)
-    rad = np.maximum(t * t - 4.0 * d, 0.0)
-    s = np.sqrt(np.maximum((t + np.sqrt(rad)) / 2.0, 0.0))
+    s = _sv2(*_entries(M))[0]
     return float(s) if M.ndim == 2 else s
 
 
 def smallest_singular_value(A) -> float:
     """Smallest singular value |det A| / op_norm(A), as the two singular
     values multiply to |det A|; 0 for the zero matrix."""
-    M = as_cmat2(A)
-    top = op_norm(M)
-    return abs(complex(_det(*_entries(M)))) / top if top > 0.0 else 0.0
+    return float(_sv2(*_entries(as_cmat2(A)))[1])
 
 
 def herm_part(P) -> CMat2:
@@ -214,12 +238,14 @@ def pi_map(A) -> tuple:
 
 
 def _herm2_spectrum(H):
-    """(trace, determinant, (eigenvalues ascending)) of a Hermitian 2x2 H,
-    the eigenvalues tr/2 -+ sqrt((tr/2)^2 - det) in closed form."""
-    tr = H[0, 0].real + H[1, 1].real
-    det = (H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]).real
-    disc = math.sqrt(max((tr / 2.0) ** 2 - det, 0.0))
-    return tr, det, (tr / 2.0 - disc, tr / 2.0 + disc)
+    """(trace, determinant, (eigenvalues ascending)) of a Hermitian 2x2 H;
+    the eigenvalues are tr/2 -+ hypot((h11 - h22)/2, |h12|), the q of
+    :func:`_sv2` at phi = 1."""
+    h11, h12, h21, h22 = (complex(h) for h in _entries(H))
+    tr = h11.real + h22.real
+    det = (h11 * h22 - h12 * h21).real
+    q = _halves(h11, h12, h21, h22, 1.0)[1]
+    return tr, det, (tr / 2.0 - q, tr / 2.0 + q)
 
 
 def eigvals_herm2(H) -> tuple[float, float]:

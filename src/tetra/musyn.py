@@ -30,7 +30,7 @@ from .linalg import CMat2, as_cmat2, mat2, op_norm, pi_map
 from .tetrablock import as_cpoint3, membership
 
 _OFFDIAG_TOL = 1e-13
-_PI_MAX = 1e150   # mu_diag's bound on pi(A) and on its bisection radius
+_PI_MAX = 1e150   # input bound of mu_diag (on pi(A)) and mu_scaling_oracle (on A)
 MU_RTOL = 1e-9    # mu_diag's bisection stop, relative to the radius
 
 
@@ -81,20 +81,16 @@ def mu_scaling_oracle(A) -> float:
     log d in [-12, 12] finds the infimum reliably.  The 121-point grid is
     one stacked :func:`op_norm` call, which gives each scaled matrix
     exactly its scalar norm; the golden-section refinement is scalar.
-    Raises NumericalDegenerate when the scaled norms overflow.
+    Raises NumericalDegenerate when an entry of A reaches 1e150, the bound
+    below which no scaled norm overflows.
     """
     M = as_cmat2(A)
-
-    def f(s: float) -> float:
-        return op_norm(_dscale(M, s))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(-12.0, 12.0, 121)
-        k = int(np.argmin(op_norm(_dscale(M, grid))))
-        value = _golden_section(f, grid[max(k - 1, 0)], grid[min(k + 1, 120)], 1e-9)
-    if not math.isfinite(value):
-        raise NumericalDegenerate(f"the diagonal scaling search overflows: {value}")
-    return value
+    if not (np.abs(M) < _PI_MAX).all():
+        raise NumericalDegenerate(f"an entry of A reaches 1e150: {np.abs(M).max():.3e}")
+    grid = np.linspace(-12.0, 12.0, 121)
+    k = int(np.argmin(op_norm(_dscale(M, grid))))
+    return _golden_section(lambda s: op_norm(_dscale(M, s)),
+                           grid[max(k - 1, 0)], grid[min(k + 1, 120)], 1e-9)
 
 
 def _dscale(T, s):

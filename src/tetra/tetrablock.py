@@ -38,7 +38,7 @@ from .errors import (
     Pole,
     PoleAtZ,
 )
-from .linalg import mat2
+from .linalg import _sv2, mat2
 
 CPoint3 = tuple[complex, complex, complex]
 
@@ -145,15 +145,6 @@ def _sym_rep_entries(x1, x2, x3):
     return x1, w, w, x2
 
 
-def _sym_rep_norm(x1, x2, x3) -> float:
-    """op_norm of the symmetric representative, scalar closed form."""
-    a11, a12, a21, a22 = _sym_rep_entries(x1, x2, x3)
-    t = abs(a11) ** 2 + abs(a12) ** 2 + abs(a21) ** 2 + abs(a22) ** 2
-    d = abs(a11 * a22 - a12 * a21) ** 2
-    rad = max(t * t - 4.0 * d, 0.0)
-    return math.sqrt(max((t + math.sqrt(rad)) / 2.0, 0.0))
-
-
 def _margins(x1, x2, x3):
     """Moduli and signed margins of the quadratic criteria (3)-(6) at x.
 
@@ -249,8 +240,7 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     if closed and abs(a3 - 1.0) <= tol:
         c6 = c6 and lt1(a1)
 
-    nrm = _sym_rep_norm(x1, x2, x3)
-    c7 = lt1(nrm)
+    c7 = lt1(_sv2(*_sym_rep_entries(x1, x2, x3))[0])
 
     if closed:
         if 1.0 - a3 > tol:

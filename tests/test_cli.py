@@ -51,6 +51,17 @@ def test_member_outside_exit_code(capsys):
     assert doc["report"]["in_set"] is False
 
 
+def test_member_closed_on_a_distinguished_boundary_point(capsys):
+    # pi of a unitary: every closed criterion holds, c7 and c8 included
+    point = ("[[0.38248592535333326,-0.7726402928303634],"
+             "[0.4230652429504839,0.7511885950982172],"
+             "[0.998582708444185,-0.05322193529246919]]")
+    doc = check(capsys, "member", "member", "--closed", "--point", point)
+    criteria = doc["report"]["criteria"]
+    assert criteria["c7"] is True and criteria["c8"] is True
+    assert all(criteria.values())
+
+
 def test_member_closed_with_oracle(capsys):
     doc = check(
         capsys, "member", "member", "--point", "[1, 1, 1]", "--closed",

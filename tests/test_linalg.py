@@ -18,6 +18,8 @@ from tetra.linalg import (
     sqrt_psd,
 )
 
+from conftest import random_unitary
+
 
 def random_mat(rng, scale=1.0):
     return scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -47,6 +49,31 @@ def test_smallest_singular_value_near_singular():
         np.linalg.svd(A, compute_uv=False)[-1], rel=1e-6
     )
     assert smallest_singular_value(np.zeros((2, 2))) == 0.0
+
+
+def test_spectral_kernel_is_accurate_near_repeated_values():
+    # LAPACK's values to 8 eps times the largest singular value, where a
+    # trace/determinant radicand loses half the digits: scaled unitaries,
+    # unitaries plus 1e-7 noise, near-scalar Hermitian matrices cI + 1e-9 H
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for i in range(1200):
+        if i % 3 == 0:
+            A = random_unitary(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        elif i % 3 == 1:
+            A = random_unitary(rng) + 1e-7 * random_mat(rng)
+        else:
+            A = rng.uniform(-2.0, 2.0) * np.eye(2) + 1e-9 * herm_part(random_mat(rng))
+        s = np.linalg.svd(A, compute_uv=False)
+        tol = 8.0 * eps * s[0]
+        assert abs(op_norm(A) - s[0]) <= tol, A
+        assert abs(smallest_singular_value(A) - s[1]) <= tol, A
+        if i % 3 == 2:
+            err = np.subtract(eigvals_herm2(A), np.linalg.eigvalsh(A))
+            assert np.abs(err).max() <= tol, A
+    assert smallest_singular_value(np.diag([1.0, 1e-12])) == pytest.approx(
+        1e-12, rel=1e-12, abs=0
+    )
 
 
 def test_op_norm_known_values():
@@ -170,3 +197,20 @@ def test_kernels_on_stacks_match_single_matrices(rng):
         op_norm(np.zeros((2, 2, 2, 2)))
     with pytest.raises(BadShape):
         as_cmat2(A)
+
+
+def test_op_norm_stacks_match_single_matrices_on_every_branch(rng):
+    # det = 0 takes the phase 1: the zero matrix, rank-one matrices (a zero
+    # row or column, or one row twice the other) and diag(x, 0); det != 0 on
+    # scaled unitaries
+    mats = [np.zeros((2, 2), dtype=complex)]
+    for _ in range(100):
+        u, v = random_mat(rng)
+        mats += [
+            np.array([u, [0, 0]]), np.array([u, v]).T * [1, 0],
+            np.array([u, 2.0 * u]), np.outer(u, v), np.diag([u[0], 0]),
+            random_unitary(rng) * 10.0 ** rng.uniform(-3.0, 3.0),
+        ]
+    A = np.array(mats)
+    assert np.count_nonzero(pi_map(A)[2] == 0) > 400
+    assert same_bits(op_norm(A), [op_norm(M) for M in A])

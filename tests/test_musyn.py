@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ def test_mu_diag_out_of_range_raises():
     for M in ([[1e300, 1e300], [1e300, 1e300]], [[1e300, 0.0], [0.0, 0.0]]):
         with pytest.raises(NumericalDegenerate, match="overflows"):
             mu_diag(np.array(M))
+
+
+def test_mu_scaling_oracle_bounds_its_entries():
+    # below 1e150 no scaled norm overflows, so no numpy warning is raised;
+    # from 1e150 on the oracle raises instead of scaling a huge corner
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(40):
+            A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            A *= 9.99e149 / np.abs(A).max()
+            if i % 4 == 1:
+                A[1, 0] = 0.0
+            if i % 4 == 2:
+                A[0, 0] = A[1, 1] = 0.0
+            assert math.isfinite(mu_scaling_oracle(A))
+    for M in ([[0.0, 1e150], [0.0, 0.0]], [[0.0, 1e200], [0.0, 0.0]],
+              [[1e300, 1e300], [1e300, 1e300]]):
+        with pytest.raises(NumericalDegenerate, match="1e150"):
+            mu_scaling_oracle(np.array(M))
 
 
 def test_mu_diag_unitaries(rng):

@@ -270,6 +270,15 @@ def test_distinguished_boundary_unitaries(rng):
         assert in_distinguished_boundary(x), x
 
 
+def test_distinguished_boundary_passes_every_closed_criterion():
+    # pi(U(2)) lies in the closure by all nine criteria; c7 reads the norm of
+    # the symmetric representative, 1 up to rounding on this face
+    rng = np.random.default_rng(11)
+    for _ in range(1200):
+        x = pi_map(random_unitary(rng))
+        assert all(membership(x, closed=True).verdicts()), x
+
+
 def test_distinguished_boundary_rejects_interior_and_exterior(rng):
     assert not in_distinguished_boundary((0.5, 0.25, 0.5))
     assert not in_distinguished_boundary((0.0, 0.0, 0.0))

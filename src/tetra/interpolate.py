@@ -19,6 +19,7 @@ endpoint residuals are recomputed from scratch by ``verify_interpolant``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -32,7 +33,6 @@ from .errors import (
     Extremal,
     Infeasible,
     InfeasiblePick,
-    NormTooLarge,
     NumericalDegenerate,
     OutsideDisc,
     PositiveDefinite,
@@ -49,6 +49,7 @@ from .linalg import (
     _cmul,
     _defect_factors,
     _mobius,
+    _require_contraction,
     _right_const,
     as_cmat2,
     inv2,
@@ -70,6 +71,7 @@ EXTREMAL_RTOL = 1e-10   # |max quotient - |lambda0|| below this is extremal
 _B_ZERO = 1e-13         # |b| below this routes to the b = 0 line branch
 _U_TINY = 1e-13         # ||u|| below this with b != 0 is an internal error
 _ALPHA_TOL = 1e-9       # choose_alpha's bound on the smallest eigenvalue
+_VARIANTS = ("scaled_line", "mobius_blaschke", "svd_reduced", "sigma_family")
 
 
 def _check_lambda0(lam0) -> complex:
@@ -112,16 +114,20 @@ def big_m(Z, rho: float) -> CMat2:
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise BadLambda(f"rho must lie in [0, 1), got {rho}")
-    if op_norm(Zm) >= 1.0:
-        raise NormTooLarge(f"op_norm(Z) = {op_norm(Zm):.6f} >= 1")
-    Zs = Zm.conj().T
-    inv_y = inv2(_I2 - Zs @ Zm)
-    inv_w = inv2(_I2 - Zm @ Zs)
+    _require_contraction(Zm)
+    return _big_m(Zm, rho)
+
+
+def _big_m(Z, rho: float) -> CMat2:
+    """M(rho) of a validated contraction Z (see :func:`big_m`)."""
+    Zs = Z.conj().T
+    inv_y = inv2(_I2 - Zs @ Z)
+    inv_w = inv2(_I2 - Z @ Zs)
     r2 = rho * rho
-    m11 = ((_I2 - r2 * (Zs @ Zm)) @ inv_y)[0, 0]
-    m22 = ((Zm @ Zs - r2 * _I2) @ inv_w)[1, 1]
+    m11 = ((_I2 - r2 * (Zs @ Z)) @ inv_y)[0, 0]
+    m22 = ((Z @ Zs - r2 * _I2) @ inv_w)[1, 1]
     m12 = ((1.0 - r2) * (Zs @ inv_w))[0, 1]
-    m21 = ((1.0 - r2) * (inv_w @ Zm))[1, 0]
+    m21 = ((1.0 - r2) * (inv_w @ Z))[1, 0]
     M = mat2(m11, m12, m21, m22)
     return (M + M.conj().T) / 2.0
 
@@ -133,11 +139,14 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
     a = np.asarray(alpha, dtype=complex).reshape(2)
     if float(np.linalg.norm(a)) < 1e-15:
         raise ZeroAlpha("alpha must be nonzero")
-    if op_norm(Zm) >= 1.0:
-        raise NormTooLarge(f"op_norm(Z) = {op_norm(Zm):.6f} >= 1")
-    isqrt_w, sqrt_y = _defect_factors(Zm)
-    u = isqrt_w @ (a[0] * Zm[:, 0] + a[1] * _I2[:, 1])
-    v = -inv2(sqrt_y) @ (a[0] * _I2[:, 0] + a[1] * Zm.conj().T[:, 1])
+    _require_contraction(Zm)
+    return _uv_vectors(Zm, a, *_defect_factors(Zm))
+
+
+def _uv_vectors(Z, a, isqrt_w, sqrt_y) -> tuple[CVec2, CVec2]:
+    """u(a), v(a) from the defect factors of a validated contraction Z."""
+    u = isqrt_w @ (a[0] * Z[:, 0] + a[1] * _I2[:, 1])
+    v = -inv2(sqrt_y) @ (a[0] * _I2[:, 0] + a[1] * Z.conj().T[:, 1])
     return u, v
 
 
@@ -164,7 +173,8 @@ def choose_alpha(M) -> CVec2:
 class SchwarzWorkspace:
     """Frozen bundle of the interpolation data at one (lambda0, x):
     the matrix Z (with optional off-diagonal scaling sigma), the pivot
-    M(|lambda0|), the chosen alpha and the vectors u, v."""
+    M(|lambda0|), the chosen alpha, the vectors u, v and the defect factors
+    of Z (see linalg._defect_factors), computed once for u, v and the lift."""
 
     lambda0: complex
     x: CPoint3
@@ -174,6 +184,8 @@ class SchwarzWorkspace:
     alpha: CVec2
     u: CVec2
     v: CVec2
+    isqrt_w: CMat2
+    sqrt_y: CMat2
 
     @staticmethod
     def build(lam0, x, sigma: float = 1.0) -> "SchwarzWorkspace":
@@ -181,16 +193,14 @@ class SchwarzWorkspace:
         a, b, p = as_cpoint3(x)
         w = principal_sqrt((a * b - p) / l0)
         Z = mat2(a / l0, sigma * w, w / sigma, b)
-        if op_norm(Z) >= 1.0:
-            raise NormTooLarge(
-                f"op_norm(Z) = {op_norm(Z):.6f} >= 1: not strictly interior"
-            )
-        M = big_m(Z, abs(l0))
+        _require_contraction(Z, ": not strictly interior")
+        M = _big_m(Z, abs(l0))
         alpha = choose_alpha(M)
-        u, v = uv_vectors(Z, alpha)
+        isqrt_w, sqrt_y = _defect_factors(Z)
+        u, v = _uv_vectors(Z, alpha, isqrt_w, sqrt_y)
         if float(np.linalg.norm(u)) < _U_TINY and abs(b) >= _B_ZERO:
             raise NumericalDegenerate("u(alpha) vanished with b != 0")
-        return SchwarzWorkspace(l0, (a, b, p), w, Z, M, alpha, u, v)
+        return SchwarzWorkspace(l0, (a, b, p), w, Z, M, alpha, u, v, isqrt_w, sqrt_y)
 
 
 def _blaschke0(l0: complex, lam):
@@ -272,7 +282,9 @@ class Interpolant:
     scalar interpolant g), and ``sigma_family`` (the one-parameter family).
     ``flipped`` records the coordinate flip applied when |x1| < |x2| (the
     lift is transposed and conjugated by the permutation matrix on the way
-    out).
+    out).  ``_lift``, the variant's lift, is built by the solver branch that
+    picks the variant and holds only the arrays it reads; it maps a point,
+    or each point of a 1-D array, to the unflipped 2x2 lift there.
     """
 
     variant: str
@@ -286,34 +298,8 @@ class Interpolant:
     t: complex = 0j
     flipped: bool = False
     mode: str | None = None
-    _isqrt_w: CMat2 | None = field(default=None, repr=False)
-    _sqrt_y: CMat2 | None = field(default=None, repr=False)
-    _Q0: CMat2 | None = field(default=None, repr=False)
-    _U1: CMat2 | None = field(default=None, repr=False)
-    _U2s: CMat2 | None = field(default=None, repr=False)
-    _c: float | None = field(default=None, repr=False)
     _scalar_params: tuple | None = field(default=None, repr=False)
-
-    # Each lift below maps a point to its unflipped 2x2 lift, and a 1-D
-    # array of n points to the (n, 2, 2) stack of them, each matrix of the
-    # stack rounded as the lift of that point alone (see linalg._mobius).
-
-    def _line_lift(self, lam):
-        if self.mode == "diag":
-            return _per_point(lam) * self.Z
-        return _times_diag(np.broadcast_to(self.Z, np.shape(lam) + (2, 2)), lam)
-
-    def _svd_lift(self, lam):
-        d = np.empty(np.shape(lam) + (2,), dtype=complex)
-        d[..., 0] = self._c
-        d[..., 1] = self.scalar_g(lam)
-        U1D = self._U1 * d[..., None, :]
-        return _times_diag(_right_const(U1D, self._U2s), lam)
-
-    def _mobius_lift(self, lam):
-        # M_{-Z} inverts M_Z, and -Z has the defect factors of Z
-        X = _per_point(_blaschke0(self.lambda0, lam)) * self._Q0
-        return _times_diag(_mobius(-self.Z, X, self._isqrt_w, self._sqrt_y), lam)
+    _lift: object = field(kw_only=True, repr=False)
 
     def lift_evaluate(self, lam):
         """F(lam) for a point of the closed disc, or the (n, 2, 2) stack of
@@ -325,7 +311,7 @@ class Interpolant:
         if (radius > 1.0 + 1e-12).any():
             raise OutsideDisc(f"|lambda| = {radius.max():.6f} > 1")
         # a lone point stays a scalar, and its lift a lone 2x2 matrix
-        F = _LIFTS[self.variant](self, lams if lams.ndim else lams[()])
+        F = self._lift(lams if lams.ndim else lams[()])
         if self.flipped:
             F = np.ascontiguousarray(F[..., ::-1, ::-1].swapaxes(-1, -2))
         return F
@@ -369,7 +355,7 @@ class Interpolant:
         if not isinstance(payload, dict):
             raise BadPayload(f"a payload is a JSON object, got {payload!r}")
         variant = payload.get("variant")
-        if not isinstance(variant, str) or variant not in _LIFTS:
+        if not isinstance(variant, str) or variant not in _VARIANTS:
             raise BadPayload(f"unknown interpolant variant {variant!r}")
         l0 = _payload_complex(payload.get("lambda0"), "lambda0")
         x = _payload_list(payload.get("x"), 3, "x")
@@ -420,36 +406,29 @@ def _per_point(v):
 
 
 def _times_diag(G, lam):
-    """G @ diag(lam, 1) for a 2x2 matrix or a stack G: its first column
-    scaled by the point."""
-    F = np.array(G)
+    """G @ diag(lam, 1) for a 2x2 matrix or a stack G (one matrix G serves
+    every point): its first column scaled by the point."""
+    F = np.array(np.broadcast_to(G, np.shape(lam) + (2, 2)))
     F[..., 0] *= np.asarray(lam)[..., None]
     return F
 
 
-_LIFTS = {
-    "scaled_line": Interpolant._line_lift,
-    "svd_reduced": Interpolant._svd_lift,
-    "mobius_blaschke": Interpolant._mobius_lift,
-    "sigma_family": Interpolant._mobius_lift,
-}
-
-
-def _assemble_mobius(ws: SchwarzWorkspace) -> dict:
-    """Precompute the constant factors of the Moebius-transported lift."""
+def _mobius_lift(ws: SchwarzWorkspace):
+    """The lift of both Moebius variants: M_{-Z} of the constant rank-one
+    function Q0 times the Blaschke factor at lambda0.  A partial, not a
+    closure: half of an audit's interpolants are Moebius ones, and a partial
+    over these five values is about 200 bytes smaller per interpolant."""
     nu2 = float(np.vdot(ws.u, ws.u).real)
     if nu2 < _U_TINY ** 2:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
     Q0 = np.outer(ws.u, ws.v.conj()) / (ws.lambda0 * nu2)
-    isqrt_w, sqrt_y = _defect_factors(ws.Z)
-    return {
-        "Z": ws.Z,
-        "u": ws.u,
-        "v": ws.v,
-        "_isqrt_w": isqrt_w,
-        "_sqrt_y": sqrt_y,
-        "_Q0": Q0,
-    }
+    return functools.partial(_mobius_at, ws.lambda0, ws.Z, Q0, ws.isqrt_w, ws.sqrt_y)
+
+
+def _mobius_at(l0, Z, Q0, isqrt_w, sqrt_y, lam):
+    # M_{-Z} inverts M_Z, and -Z has the defect factors of Z
+    X = _per_point(_blaschke0(l0, lam)) * Q0
+    return _times_diag(_mobius(-Z, X, isqrt_w, sqrt_y), lam)
 
 
 def solve_schwarz(lam0, x, t=0j) -> Interpolant:
@@ -476,13 +455,14 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
     if flipped:
         a, b = b, a
     xs = (a, b, p)
+    w = principal_sqrt((a * b - p) / l0)
 
     if abs(b) < _B_ZERO:
-        w = principal_sqrt((a * b - p) / l0)
         Z = mat2(a / l0, w, w, 0.0)
         return Interpolant(
             variant="scaled_line", lambda0=l0, x=xp, Z=Z,
             t=t, flipped=flipped, mode="line",
+            _lift=lambda lam: _times_diag(Z, lam),
         )
 
     if is_triangular(xs):
@@ -490,10 +470,10 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
         return Interpolant(
             variant="scaled_line", lambda0=l0, x=xp, Z=Z,
             t=t, flipped=flipped, mode="diag",
+            _lift=lambda lam: _per_point(lam) * Z,
         )
 
     if margin <= EXTREMAL_RTOL * abs(l0):
-        w = principal_sqrt((a * b - p) / l0)
         Z = mat2(a / l0, w, w, b)
         U, S, Vh = np.linalg.svd(Z)
         c = min(float(S[0]), 1.0)
@@ -510,18 +490,24 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
         else:
             g0 = -num / den
         scalar = scalar_np2(0.0, g0, l0, s, t)
+
+        def svd_lift(lam):
+            d = np.empty(np.shape(lam) + (2,), dtype=complex)
+            d[..., 0] = c
+            d[..., 1] = scalar(lam)
+            return _times_diag(_right_const(U * d[..., None, :], Vh), lam)
+
         return Interpolant(
             variant="svd_reduced", lambda0=l0, x=xp, Z=Z,
             scalar_g=scalar, t=t, flipped=flipped,
-            _U1=U, _U2s=Vh, _c=c,
             _scalar_params=(0.0 + 0.0j, complex(g0), l0, complex(s), t),
+            _lift=svd_lift,
         )
 
     ws = SchwarzWorkspace.build(l0, xs)
-    parts = _assemble_mobius(ws)
     return Interpolant(
-        variant="mobius_blaschke", lambda0=l0, x=xp,
-        t=t, flipped=flipped, **parts,
+        variant="mobius_blaschke", lambda0=l0, x=xp, Z=ws.Z, u=ws.u, v=ws.v,
+        t=t, flipped=flipped, _lift=_mobius_lift(ws),
     )
 
 
@@ -579,10 +565,9 @@ def solve_with_sigma(lam0, x, sigma) -> Interpolant:
             f"sigma^2 = {s2:.12f} outside ({params.xi1:.12f}, {params.xi2:.12f})"
         )
     ws = SchwarzWorkspace.build(l0, xp, sigma=sig)
-    parts = _assemble_mobius(ws)
     return Interpolant(
-        variant="sigma_family", lambda0=l0, x=xp,
-        sigma=sig, flipped=False, **parts,
+        variant="sigma_family", lambda0=l0, x=xp, Z=ws.Z, u=ws.u, v=ws.v,
+        sigma=sig, flipped=False, _lift=_mobius_lift(ws),
     )
 
 

@@ -129,19 +129,46 @@ def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):
     return hypot(mod(a + u), mod(b - v)) / 2.0, hypot(mod(a - u), mod(b + v)) / 2.0
 
 
+def _sv2_ranged(M):
+    """:func:`_sv2` of a 2x2 matrix or of each matrix of a stack.  Where the
+    largest singular value comes out non-finite or below 2^-500 (det over-
+    or underflowed), it is redone on A 2^-e, 2^e the power of two just above
+    A's largest real or imaginary part, and scaled back; others are kept."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, low = _sv2(*_entries(M))
+        redo = ~((top >= 2.0 ** -500) & (top < math.inf))
+        if M.ndim == 3:
+            for i in np.flatnonzero(redo):
+                top[i], low[i] = _sv2_ranged(M[i])
+        elif redo:
+            e = np.frexp(np.maximum(abs(M.real), abs(M.imag)).max())[1]
+            t, s = _sv2(*_entries(M * np.ldexp(1.0, -e)))
+            return np.ldexp(t, e), np.ldexp(s, e)
+    return top, low
+
+
 def op_norm(A):
     """Largest singular value of a 2x2 matrix, or the array of them for an
     (n, 2, 2) stack: p + q of :func:`_sv2`, the norms of the two scaled
-    unitaries that A splits into once det A is turned onto the positive axis."""
+    unitaries that A splits into once det A is turned onto the positive axis.
+    Accurate for every finite A, inf where the norm passes the largest float."""
     M = as_cmat2(A, stack=True)
-    s = _sv2(*_entries(M))[0]
+    s = _sv2_ranged(M)[0]
     return float(s) if M.ndim == 2 else s
 
 
 def smallest_singular_value(A) -> float:
     """Smallest singular value |det A| / op_norm(A), as the two singular
-    values multiply to |det A|; 0 for the zero matrix."""
-    return float(_sv2(*_entries(as_cmat2(A)))[1])
+    values multiply to |det A|; 0 for the zero matrix.  Accurate for every
+    finite A, down to the subnormals."""
+    return float(_sv2_ranged(as_cmat2(A))[1])
+
+
+def _require_contraction(Z, note: str = "") -> None:
+    """Raise NormTooLarge unless op_norm(Z) < 1; a NaN norm fails too."""
+    n = op_norm(Z)
+    if not n < 1.0:
+        raise NormTooLarge(f"op_norm(Z) = {n:.6f} >= 1{note}")
 
 
 def herm_part(P) -> CMat2:
@@ -199,8 +226,7 @@ def mobius_matricial(Z, X) -> CMat2:
     """
     Zm = as_cmat2(Z)
     Xm = as_cmat2(X)
-    if op_norm(Zm) >= 1.0:
-        raise NormTooLarge(f"op_norm(Z) = {op_norm(Zm):.6f} >= 1")
+    _require_contraction(Zm)
     return _mobius(Zm, Xm, *_defect_factors(Zm))
 
 

@@ -275,21 +275,15 @@ def lift_to_sigma(phi):
     return F
 
 
-def _bft_norm(points, mats) -> float:
+def _bft_norm(Lh, Lh_inv, mats) -> float:
     """Norm of the compressed commutant operator with blocks mats[j] at the
-    Szego-kernel span over points, via the Gram-weighted similarity."""
-    n = len(points)
-    S = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            S[i, j] = 1.0 / (1.0 - points[j].conjugate() * points[i])
-    G = np.kron(S, np.eye(2))
-    L = np.linalg.cholesky(G)
+    Szego-kernel span over the nodes, via the Gram-weighted similarity by
+    Lh = L*, L the Cholesky factor of the nodes' Gram matrix."""
+    n = len(mats)
     B = np.zeros((2 * n, 2 * n), dtype=complex)
     for j, F in enumerate(mats):
         B[2 * j:2 * j + 2, 2 * j:2 * j + 2] = F.conj().T
-    Lh = L.conj().T
-    return float(np.linalg.norm(Lh @ B @ np.linalg.inv(Lh), 2))
+    return float(np.linalg.norm(Lh @ B @ Lh_inv, 2))
 
 
 def bft_lower_bound(points, targets) -> float:
@@ -328,10 +322,16 @@ def bft_lower_bound(points, targets) -> float:
     # grid point, on log d_2 over [-18, 18]: the wide ranges let the
     # scaling of a triangular target shrink its corner to e^-18 of its size.
     grid = np.linspace(-6.0, 6.0, 41)
+    # the Szego Gram matrix (kron I2) depends on the nodes only: built once
+    S = np.array([[1.0 / (1.0 - w.conjugate() * z) for w in pts] for z in pts])
+    Lh = np.linalg.cholesky(np.kron(S, np.eye(2))).conj().T
+    Lh_inv = np.linalg.inv(Lh)
 
     def min_over_s2(s1: float) -> float:
         return _golden_section(
-            lambda s2: _bft_norm(pts, [_dscale(mats[0], s1), _dscale(mats[1], s2)]),
+            lambda s2: _bft_norm(
+                Lh, Lh_inv, [_dscale(mats[0], s1), _dscale(mats[1], s2)]
+            ),
             -18.0, 18.0, 1e-8,
         )
 

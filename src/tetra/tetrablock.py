@@ -486,27 +486,12 @@ def separating_polynomial(x):
     return f_poly, cert
 
 
-def construct_matrix_rep(x, symmetric: bool = True):
-    """2x2 matrix representative A with pi(A) = x for a closure point.
-
-    The symmetric form [[x1, w], [w, x2]] (w the principal square root of
-    x1*x2 - x3) is a contraction exactly when x lies in the closure, strict
-    inside; the two square-root choices are unitarily equivalent.  The
-    non-symmetric variant keeps the corner product x1*x2 - x3 but splits it
-    as [[x1, (x1*x2 - x3)/|w|], [|w|, x2]]; balancing the corner moduli
-    leaves both invariants of the singular values (the term
-    |a|^2 + |b|^2 + |c|^2 + |d|^2 and |det|) equal to the symmetric form's,
-    so the same norm bound holds.  A triangular point degenerates to
-    diag(x1, x2) either way.
-    """
+def construct_matrix_rep(x):
+    """The symmetric representative A = [[x1, w], [w, x2]] of a closure
+    point x, w the principal square root of x1*x2 - x3: pi(A) = x, and A is a
+    contraction, strict exactly when x is in E (diag(x1, x2) when x is
+    triangular).  Raises Outside for a point outside the closure."""
     x1, x2, x3 = as_cpoint3(x)
     if not membership((x1, x2, x3), closed=True).in_set:
         raise Outside("the point lies outside the closure")
-    if symmetric:
-        a11, a12, a21, a22 = _sym_rep_entries(x1, x2, x3)
-        return mat2(a11, a12, a21, a22)
-    q = x1 * x2 - x3
-    s = math.sqrt(abs(q))
-    if s == 0.0:
-        return mat2(x1, 0.0, 0.0, x2)
-    return mat2(x1, q / s, s, x2)
+    return mat2(*_sym_rep_entries(x1, x2, x3))

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tetra.errors import BadShape, NormTooLarge, NotPSD
+from tetra.interpolate import big_m
 from tetra.linalg import (
     _cdiv,
     _cmul,
@@ -214,3 +217,27 @@ def test_op_norm_stacks_match_single_matrices_on_every_branch(rng):
     A = np.array(mats)
     assert np.count_nonzero(pi_map(A)[2] == 0) > 400
     assert same_bits(op_norm(A), [op_norm(M) for M in A])
+
+
+@pytest.mark.parametrize("A, scale", [
+    (np.full((2, 2), 1e200), 2.0 ** -665),
+    (np.diag([1e-200, 1e-200]), 2.0 ** 664),
+], ids=["det-overflows", "det-underflows"])
+def test_singular_values_hold_over_the_float_range(A, scale):
+    # against LAPACK on the matrix scaled into range, with no warning,
+    # for a lone matrix and inside a stack of ordinary ones
+    expect = np.linalg.svd(A * scale, compute_uv=False) / scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top, low = op_norm(A), smallest_singular_value(A)
+        stack = op_norm(np.array([np.eye(2), A, 0.5 * np.eye(2)]))
+    assert top == pytest.approx(expect[0], rel=1e-15)
+    assert low == pytest.approx(expect[1], rel=1e-15, abs=1e-15 * expect[0])
+    assert list(stack) == [1.0, top, 0.5]
+
+
+def test_contraction_checks_reject_an_overflowing_norm():
+    # op_norm was NaN here, which passed the check and failed later with
+    # a misleading BadShape
+    with pytest.raises(NormTooLarge):
+        big_m(np.full((2, 2), 1e200), 0.5)

@@ -355,15 +355,12 @@ def test_separating_polynomial_rejects_members():
 
 
 def test_construct_matrix_rep_golden():
-    A = construct_matrix_rep((0.5, 0.25, 0.5), symmetric=True)
+    A = construct_matrix_rep((0.5, 0.25, 0.5))
     w = 1j * math.sqrt(3 / 8)
     assert A[0, 0] == pytest.approx(0.5) and A[1, 1] == pytest.approx(0.25)
     assert A[0, 1] == pytest.approx(w, abs=1e-14)
     assert A[1, 0] == pytest.approx(w, abs=1e-14)
     assert op_norm(A) < 1.0
-    # triangular point: diagonal representative
-    D = construct_matrix_rep((0.3, 0.2, 0.06), symmetric=False)
-    assert D[0, 1] == 0 and D[1, 0] == 0
     Z = construct_matrix_rep((0.0, 0.0, 0.0))
     assert np.allclose(Z, 0.0)
 
@@ -371,12 +368,10 @@ def test_construct_matrix_rep_golden():
 def test_construct_matrix_rep(rng):
     for _ in range(200):
         x = random_point_in_ebar(rng)
-        for symmetric in (False, True):
-            A = construct_matrix_rep(x, symmetric=symmetric)
-            assert pi_map(A) == pytest.approx(x, abs=1e-10)
-            assert op_norm(A) <= 1.0 + 1e-8
-            if symmetric:
-                assert A[0, 1] == pytest.approx(A[1, 0], abs=1e-12)
+        A = construct_matrix_rep(x)
+        assert pi_map(A) == pytest.approx(x, abs=1e-10)
+        assert op_norm(A) <= 1.0 + 1e-8
+        assert A[0, 1] == pytest.approx(A[1, 0], abs=1e-12)
     with pytest.raises(Outside):
         construct_matrix_rep((2.0, 0.0, 0.0))
 

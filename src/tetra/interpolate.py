@@ -9,6 +9,8 @@ two-quotient criterion; the construction routes through:
 * a scaled line for triangular targets,
 * the matricial Moebius transport of a constant rank-one function for
   strictly interior non-triangular targets (the M(rho)/u/v machinery),
+  evaluated as the pencil F(lam) = (C0 + s(lam) C1) diag(lam, 1) that the
+  Sherman-Morrison formula gives for a rank-one constant (see _mobius_lift),
 * an SVD reduction to a scalar two-point Nevanlinna-Pick problem in the
   extremal case (and for the non-uniqueness family),
 * the one-parameter sigma family of interpolants sweeping all admissible
@@ -19,7 +21,6 @@ endpoint residuals are recomputed from scratch by ``verify_interpolant``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -29,6 +30,7 @@ from .autgroup import pseudohyperbolic
 from .errors import (
     BadLambda,
     BadPayload,
+    BadShape,
     BadSamples,
     Extremal,
     Infeasible,
@@ -48,7 +50,6 @@ from .linalg import (
     _cdiv,
     _cmul,
     _defect_factors,
-    _mobius,
     _require_contraction,
     _right_const,
     as_cmat2,
@@ -136,7 +137,9 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
     """The vector pair u(alpha) = (1-ZZ*)^{-1/2}(alpha1 Z e1 + alpha2 e2),
     v(alpha) = -(1-Z*Z)^{-1/2}(alpha1 e1 + alpha2 Z* e2)."""
     Zm = as_cmat2(Z)
-    a = np.asarray(alpha, dtype=complex).reshape(2)
+    a = np.asarray(alpha, dtype=complex).ravel()
+    if a.shape != (2,):
+        raise BadShape(f"alpha must have 2 entries, got {a.size}")
     if float(np.linalg.norm(a)) < 1e-15:
         raise ZeroAlpha("alpha must be nonzero")
     _require_contraction(Zm)
@@ -145,9 +148,13 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
 
 def _uv_vectors(Z, a, isqrt_w, sqrt_y) -> tuple[CVec2, CVec2]:
     """u(a), v(a) from the defect factors of a validated contraction Z."""
-    u = isqrt_w @ (a[0] * Z[:, 0] + a[1] * _I2[:, 1])
-    v = -inv2(sqrt_y) @ (a[0] * _I2[:, 0] + a[1] * Z.conj().T[:, 1])
-    return u, v
+    g, h = _uv_cores(Z, a)
+    return isqrt_w @ g, -inv2(sqrt_y) @ h
+
+
+def _uv_cores(Z, a) -> tuple[CVec2, CVec2]:
+    """(1-ZZ*)^{1/2} u(a) and -(1-Z*Z)^{1/2} v(a), free of matrix products."""
+    return a[0] * Z[:, 0] + a[1] * _I2[:, 1], a[0] * _I2[:, 0] + a[1] * Z[1].conj()
 
 
 def choose_alpha(M) -> CVec2:
@@ -190,6 +197,8 @@ class SchwarzWorkspace:
     @staticmethod
     def build(lam0, x, sigma: float = 1.0) -> "SchwarzWorkspace":
         l0 = _check_lambda0(lam0)
+        if not 0.0 < sigma < math.inf:
+            raise SigmaOutOfRange(f"sigma must be positive and finite, got {sigma}")
         a, b, p = as_cpoint3(x)
         w = principal_sqrt((a * b - p) / l0)
         Z = mat2(a / l0, sigma * w, w / sigma, b)
@@ -201,11 +210,6 @@ class SchwarzWorkspace:
         if float(np.linalg.norm(u)) < _U_TINY and abs(b) >= _B_ZERO:
             raise NumericalDegenerate("u(alpha) vanished with b != 0")
         return SchwarzWorkspace(l0, (a, b, p), w, Z, M, alpha, u, v, isqrt_w, sqrt_y)
-
-
-def _blaschke0(l0: complex, lam):
-    """(l0 - lam) / (1 - conj(l0) lam), elementwise over an array lam."""
-    return _cdiv(l0 - lam, 1.0 - _cmul(l0.conjugate(), lam))
 
 
 def _blaschke(a: complex, lam):
@@ -270,7 +274,7 @@ def scalar_np2(lam1, v1, lam2, v2, t=0.0):
     return g
 
 
-@dataclass
+@dataclass(slots=True)
 class Interpolant:
     """A constructed interpolant: phi = pi . F for a Schur-class lift F.
 
@@ -414,21 +418,31 @@ def _times_diag(G, lam):
 
 
 def _mobius_lift(ws: SchwarzWorkspace):
-    """The lift of both Moebius variants: M_{-Z} of the constant rank-one
-    function Q0 times the Blaschke factor at lambda0.  A partial, not a
-    closure: half of an audit's interpolants are Moebius ones, and a partial
-    over these five values is about 200 bytes smaller per interpolant."""
+    """Both Moebius lifts, F = M_{-Z}(beta Q0) diag(lam, 1) with beta(lam) =
+    (lambda0 - lam)/(1 - conj(lambda0) lam), as a pencil: for X = beta Q0 = c u v*,
+    Sherman-Morrison gives (X + Z)(1 + Z*X)^{-1} = Z + c (1-ZZ*) u v*/(1 + c v*Z*u),
+    so F = (C0 + s C1) diag(lam, 1) for C0 = (1-ZZ*)^{-1/2} Z (1-Z*Z)^{1/2}, C1 =
+    -g h*/(lambda0 |u|^2) (g, h of _uv_cores) and s = beta/(1 + kappa beta) =
+    (lambda0 - lam)/(d0 - d1 lam) with kappa = v*Z*u/(lambda0 |u|^2)."""
     nu2 = float(np.vdot(ws.u, ws.u).real)
     if nu2 < _U_TINY ** 2:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
-    Q0 = np.outer(ws.u, ws.v.conj()) / (ws.lambda0 * nu2)
-    return functools.partial(_mobius_at, ws.lambda0, ws.Z, Q0, ws.isqrt_w, ws.sqrt_y)
+    l0, Z, scale = ws.lambda0, ws.Z, ws.lambda0 * nu2
+    kappa = complex(np.vdot(ws.v, Z.conj().T @ ws.u)) / scale
+    g, h = _uv_cores(Z, ws.alpha)
+    C = np.array([(ws.isqrt_w @ Z) @ ws.sqrt_y, np.outer(g, h.conj()) / -scale])
+    return _Pencil((l0, 1 + kappa * l0, l0.conjugate() + kappa, C))
 
 
-def _mobius_at(l0, Z, Q0, isqrt_w, sqrt_y, lam):
-    # M_{-Z} inverts M_Z, and -Z has the defect factors of Z
-    X = _per_point(_blaschke0(l0, lam)) * Q0
-    return _times_diag(_mobius(-Z, X, isqrt_w, sqrt_y), lam)
+class _Pencil(tuple):
+    """(lambda0, d0, d1, [C0, C1]) of _mobius_lift, evaluated when called; a
+    bare tuple, because callers may keep many interpolants."""
+    __slots__ = ()
+
+    def __call__(self, lam):
+        l0, d0, d1, C = self
+        s = _cdiv(l0 - lam, d0 - _cmul(d1, lam))
+        return _times_diag(C[0] + _cmul(_per_point(s), C[1]), lam)
 
 
 def solve_schwarz(lam0, x, t=0j) -> Interpolant:
@@ -480,15 +494,10 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
         s = float(S[1])
         den = U[1, 1] * Vh[1, 1]
         num = c * U[1, 0] * Vh[0, 1]
-        if abs(den) < 1e-13:
-            if abs(num) < 1e-13:
-                g0 = 0.0 + 0.0j
-            else:
-                raise NumericalDegenerate(
-                    "SVD reduction denominator vanished with nonzero numerator"
-                )
-        else:
-            g0 = -num / den
+        if abs(den) < 1e-13 and not abs(num) < 1e-13:
+            raise NumericalDegenerate(
+                "SVD reduction denominator vanished with nonzero numerator")
+        g0 = 0j if abs(den) < 1e-13 else -num / den
         scalar = scalar_np2(0.0, g0, l0, s, t)
 
         def svd_lift(lam):

@@ -224,10 +224,10 @@ def mobius_matricial(Z, X) -> CMat2:
     Requires ``op_norm(Z) < 1``; maps the closed unit ball into itself and is
     inverted by ``M_{-Z}``.
     """
-    Zm = as_cmat2(Z)
-    Xm = as_cmat2(X)
+    Zm, Xm = as_cmat2(Z), as_cmat2(X)
     _require_contraction(Zm)
-    return _mobius(Zm, Xm, *_defect_factors(Zm))
+    isqrt_w, sqrt_y = _defect_factors(Zm)
+    return isqrt_w @ (Xm - Zm) @ inv2(_I2 - Zm.conj().T @ Xm) @ sqrt_y
 
 
 def _defect_factors(Z) -> tuple[CMat2, CMat2]:
@@ -235,15 +235,6 @@ def _defect_factors(Z) -> tuple[CMat2, CMat2]:
     op_norm(Z) < 1; they are the same for -Z."""
     Zs = Z.conj().T
     return inv2(sqrt_psd(_I2 - Z @ Zs)), sqrt_psd(_I2 - Zs @ Z)
-
-
-def _mobius(Z, X, isqrt_w, sqrt_y):
-    """M_Z(X) from the defect factors of Z (see :func:`_defect_factors`),
-    for a 2x2 X or an (n, 2, 2) stack.  The products with a per-matrix
-    factor on both sides go through np.matmul, which rounds each matrix of
-    a stack as it rounds a lone 2x2 product."""
-    P = np.matmul(isqrt_w @ (X - Z), inv2(_I2 - Z.conj().T @ X))
-    return _right_const(P, sqrt_y)
 
 
 def _right_const(G, C):

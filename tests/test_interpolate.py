@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tetra.errors import (
     BadLambda,
+    BadShape,
     Extremal,
     Infeasible,
     InfeasiblePick,
@@ -34,13 +35,14 @@ from tetra.interpolate import (
     uv_vectors,
     verify_interpolant,
 )
-from tetra.linalg import eigvals_herm2, mat2, op_norm, pi_map
+from tetra.linalg import eigvals_herm2, mat2, mobius_matricial, op_norm, pi_map
 from tetra.metrics import pseudohyperbolic
 from tetra.cli import run
 from tetra.musyn import SynthesisInstance, mu_diag, synth_two_point
 from tetra.tetrablock import construct_matrix_rep, criterion_max, membership
 
-from conftest import random_feasible_instance, random_point_in_e
+from conftest import random_disc, random_feasible_instance, random_point_in_e
+from test_distance_oracle import c_T
 
 GOLD_X = (0.5, 0.25, 0.5)
 GOLD_L0 = -0.8
@@ -162,6 +164,13 @@ def test_uv_vectors_guards():
         uv_vectors(mat2(1.5, 0, 0, 0), [1.0, 0.0])
 
 
+def test_uv_vectors_needs_two_entries():
+    Z = mat2(0.5, 0, 0, 0.5)
+    for alpha in ([1.0], [1.0, 0.0, 0.0], []):
+        with pytest.raises(BadShape):
+            uv_vectors(Z, alpha)
+
+
 # --- scalar two-point problem ----------------------------------------------
 
 def test_scalar_np2_golden_reduction():
@@ -258,6 +267,12 @@ def test_workspace_build_requires_strict_interior():
     assert ws.Z[0, 0] == pytest.approx(0.5 / -0.9, abs=1e-12)
     with pytest.raises(NormTooLarge):
         SchwarzWorkspace.build(GOLD_L0, GOLD_X)
+
+
+def test_workspace_build_needs_a_finite_positive_sigma():
+    for sigma in (0.0, -0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(SigmaOutOfRange):
+            SchwarzWorkspace.build(-0.9, GOLD_X, sigma=sigma)
 
 
 def test_solve_schwarz_extremal_golden():
@@ -556,3 +571,62 @@ def test_verify_interpolant_agrees_with_per_sample_oracle(rng):
             verdicts.add(rep["passed"])
             checked += 1
     assert checked >= 60 and verdicts == {True, False}
+
+
+def mobius_targets(rng):
+    """Seeded Moebius interpolants at relative feasibility margins 1e-2,
+    1e-5 and 1e-8: |lambda0| = criterion_max(x) / (1 - margin)."""
+    phis = []
+    for rel in (1e-2, 1e-2, 1e-2, 1e-5, 1e-5, 1e-5, 1e-8, 1e-8, 1e-8):
+        while True:
+            x = random_point_in_e(rng, hi=0.85)
+            l0 = criterion_max(x) / (1.0 - rel) * np.exp(2j * np.pi * rng.uniform())
+            phi = solve_schwarz(l0, x) if abs(l0) < 0.999 else None
+            if phi is not None and phi.variant == "mobius_blaschke":
+                phis.append(phi)
+                break
+    return phis
+
+
+def lift_by_definition(phi, lam):
+    """M_{-Z}(beta(lam) Q0) diag(lam, 1) with Q0 = u v*/(lambda0 |u|^2) and
+    beta(lam) = (lambda0 - lam)/(1 - conj(lambda0) lam), flipped back like
+    the interpolant's own lift."""
+    l0 = phi.lambda0
+    Q0 = np.outer(phi.u, phi.v.conj()) / (l0 * np.vdot(phi.u, phi.u).real)
+    beta = (l0 - lam) / (1.0 - l0.conjugate() * lam)
+    F = mobius_matricial(-phi.Z, beta * Q0) @ np.diag([lam, 1.0])
+    return F[::-1, ::-1].T if phi.flipped else F
+
+
+def test_mobius_lift_matches_its_definition(rng):
+    # Both forms lose about eps / sqrt(rel) near the feasibility boundary,
+    # rel = margin / |lambda0|: against 40-digit arithmetic the definition
+    # was 1.6e-12 off and the pencil 8.1e-13 at rel = 1e-8, and the two
+    # differed by at most 0.58 eps / sqrt(rel) at every margin checked.
+    checked = 0
+    for _ in range(3):
+        phis = [p for p in every_variant(rng) if p.u is not None]  # Moebius and sigma
+        phis += mobius_targets(rng)
+        for phi in phis:
+            rel = schwarz_feasible(phi.lambda0, phi.x)[1] / abs(phi.lambda0)
+            tol = 1e-12 + 1e-15 / math.sqrt(rel)
+            lams = np.append(disc_points(rng, 40), phi.lambda0)
+            F = phi.lift_evaluate(lams)
+            for k, lam in enumerate(lams):
+                ref = lift_by_definition(phi, complex(lam))
+                assert np.max(np.abs(F[k] - ref)) <= tol * (1.0 + op_norm(ref))
+                assert np.array_equal(F[k], phi.lift_evaluate(lam))
+            checked += 1
+    assert checked == 3 * (3 + 9)
+
+
+def test_schwarz_pick_along_every_lift(rng):
+    # c_T(phi(l1), phi(l2)) is a lower bound for the Caratheodory distance
+    # of E, which phi cannot increase: it is at most rho(l1, l2)
+    for _ in range(2):
+        for phi in every_variant(rng):
+            for _ in range(8):
+                l1, l2 = random_disc(rng, 0.99), random_disc(rng, 0.99)
+                c = c_T(phi.evaluate(l1), phi.evaluate(l2))
+                assert c <= pseudohyperbolic(l1, l2) + 1e-12, phi.variant

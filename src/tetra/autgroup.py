@@ -23,7 +23,7 @@ from .errors import (
     OutsideDisc,
     Pole,
 )
-from .tetrablock import CPoint3, _act_left, as_cpoint3, is_triangular, membership
+from .tetrablock import CPoint3, _act_left, _report, as_cpoint3
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -135,9 +135,10 @@ def normalize_triangular(x) -> tuple[DiscAut, DiscAut]:
     """Automorphism pair (v, chi) moving a triangular point of E to the
     origin: act_right(act_left(v, x), chi) = (0, 0, 0)."""
     x1, x2, x3 = as_cpoint3(x)
-    if not is_triangular((x1, x2, x3)):
+    rep = _report(x1, x2, x3)
+    if not rep.triangular:
         raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
-    if not membership((x1, x2, x3)).in_set:
+    if not rep.in_set:
         raise Outside("triangular point is not in the open domain")
     v = DiscAut(1.0 + 0.0j, x1)            # z -> (z - x1)/(conj(x1) z - 1)
     chi = DiscAut(-1.0 + 0.0j, -x2.conjugate())  # z -> (z + conj(x2))/(x2 z + 1)
@@ -164,12 +165,13 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
     if abs(l1 - l2) < 1e-15:
         raise BadLambda("interpolation nodes must be distinct")
     x1, x2, x3 = as_cpoint3(x)
-    if not is_triangular((x1, x2, x3)):
+    rep = _report(x1, x2, x3)
+    if not rep.triangular:
         raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
-    if not membership((x1, x2, x3)).in_set:
+    if not rep.in_set:
         raise Outside("x is not in the open domain")
     y1, y2, y3 = as_cpoint3(y)
-    if not membership((y1, y2, y3)).in_set:
+    if not _report(y1, y2, y3).in_set:
         raise Outside("y is not in the open domain")
 
     ay1, ay2, ay3 = abs(y1) ** 2, abs(y2) ** 2, abs(y3) ** 2

@@ -274,7 +274,7 @@ def scalar_np2(lam1, v1, lam2, v2, t=0.0):
     return g
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Interpolant:
     """A constructed interpolant: phi = pi . F for a Schur-class lift F.
 

@@ -13,14 +13,13 @@ import math
 from .autgroup import act_left, act_right, normalize_triangular
 from .autgroup import pseudohyperbolic  # noqa: F401  (re-exported here)
 from .errors import Outside, Unsupported
-from .tetrablock import as_cpoint3, criterion_max, is_triangular, membership
+from .tetrablock import _report, as_cpoint3, criterion_max
 
 
 def dist_from_origin(x) -> float:
     """Distance from the origin of E: atanh of the maximum of the two
     membership quotients (the Caratheodory = Kobayashi = Lempert value)."""
-    x1, x2, x3 = as_cpoint3(x)
-    cm = criterion_max((x1, x2, x3))
+    cm = criterion_max(x)
     if not cm < 1.0:
         raise Outside(f"distance quotient {cm} >= 1: point not in the domain")
     return math.atanh(cm)
@@ -36,13 +35,15 @@ def dist_triangular_pair(x, y) -> float:
     """
     xp = as_cpoint3(x)
     yp = as_cpoint3(y)
-    if not membership(xp).in_set:
+    rx = _report(*xp)
+    if not rx.in_set:
         raise Outside("first point is not in the open domain")
-    if not membership(yp).in_set:
+    ry = _report(*yp)
+    if not ry.in_set:
         raise Outside("second point is not in the open domain")
-    if is_triangular(xp):
+    if rx.triangular:
         base, other = xp, yp
-    elif is_triangular(yp):
+    elif ry.triangular:
         base, other = yp, xp
     else:
         raise Unsupported(

@@ -80,13 +80,17 @@ def mu_scaling_oracle(A) -> float:
     invariants fixed — so a coarse grid plus golden-section search on
     log d in [-12, 12] finds the infimum reliably.  The 121-point grid is
     one stacked :func:`op_norm` call, which gives each scaled matrix
-    exactly its scalar norm; the golden-section refinement is scalar.
-    Raises NumericalDegenerate when an entry of A reaches 1e150, the bound
-    below which no scaled norm overflows.
+    exactly its scalar norm; the golden-section refinement is scalar.  A
+    triangular A (a12 or a21 exactly 0) has no minimiser: the infimum
+    max(|a11|, |a22|) is approached as d -> 0 or d -> inf, so it is returned
+    in closed form.  Raises NumericalDegenerate when an entry of A reaches
+    1e150, the bound below which no scaled norm overflows.
     """
     M = as_cmat2(A)
     if not (np.abs(M) < _PI_MAX).all():
         raise NumericalDegenerate(f"an entry of A reaches 1e150: {np.abs(M).max():.3e}")
+    if M[0, 1] == 0 or M[1, 0] == 0:
+        return max(abs(complex(M[0, 0])), abs(complex(M[1, 1])))
     grid = np.linspace(-12.0, 12.0, 121)
     k = int(np.argmin(op_norm(_dscale(M, grid))))
     return _golden_section(lambda s: op_norm(_dscale(M, s)),

@@ -13,14 +13,16 @@ does not vanish for |z| <= 1, |w| <= 1; equivalently the image of the open
   certificates for exterior points,
 * 2x2 matrix representatives.
 
-Scalars are kept in plain ``complex`` arithmetic; membership is on hot paths
-(bisection loops, verification sweeps) and must stay allocation-free.
+Scalars are kept in plain ``complex`` arithmetic.  Membership is on hot paths
+(bisection loops, scans of scattered points): each call validates its point
+once, computes its quotients once and builds one report, a named tuple.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +49,10 @@ DEFAULT_TOL = 1e-9
 
 def as_cpoint3(x) -> CPoint3:
     """Coerce to a tuple of three finite complex scalars."""
-    x1, x2, x3 = (complex(c) for c in x)
-    for c in (x1, x2, x3):
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise NonFinite("point coordinates must be finite")
+    x1, x2, x3 = x
+    x1, x2, x3 = complex(x1), complex(x2), complex(x3)
+    if not (cmath.isfinite(x1) and cmath.isfinite(x2) and cmath.isfinite(x3)):
+        raise NonFinite("point coordinates must be finite")
     return (x1, x2, x3)
 
 
@@ -68,7 +70,7 @@ def psi(z, x) -> complex:
     """
     x1, x2, x3 = as_cpoint3(x)
     z = complex(z)
-    if is_triangular((x1, x2, x3)):
+    if _quotients(x1, x2, x3)[2]:
         return x1
     den = x2 * z - 1.0
     if abs(den) < 1e-14:
@@ -78,7 +80,7 @@ def psi(z, x) -> complex:
 
 def upsilon_fn(z, x) -> complex:
     """The companion slice map Upsilon(z, x) = Psi(z, (x2, x1, x3))."""
-    x1, x2, x3 = as_cpoint3(x)
+    x1, x2, x3 = x
     return psi(z, (x2, x1, x3))
 
 
@@ -101,14 +103,15 @@ def criterion_max(x) -> float:
     return max(d, dflip)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Per-criterion verdicts and signed margins for one point.
 
     ``in_set`` is the canonical criterion-(3) verdict.  The margins are the
     raw slack of the corresponding displayed inequality (positive = strictly
     inside per that inequality).  ``c1`` aliases ``c3``: criterion (1) *is*
-    membership and (3) is its closed-form decision here.
+    membership and (3) is its closed-form decision here.  A named tuple: the
+    fields read as attributes, and the report unpacks and compares as the
+    tuple of its fields in this order.
     """
 
     in_set: bool
@@ -132,10 +135,8 @@ class MembershipReport:
     closed: bool
 
     def verdicts(self) -> tuple[bool, ...]:
-        return (
-            self.c1, self.c2, self.c3, self.c4, self.c5,
-            self.c6, self.c7, self.c8, self.c9,
-        )
+        """``(c1, ..., c9)``."""
+        return self[1:10]
 
 
 def _sym_rep_entries(x1, x2, x3):
@@ -201,7 +202,11 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     (0.9, 0.9, 1.62).  These bounds hold automatically on the closure, so
     adjoining them changes no verdict inside.
     """
-    x1, x2, x3 = as_cpoint3(x)
+    return _report(*as_cpoint3(x), closed, tol)
+
+
+def _report(x1, x2, x3, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
+    """:func:`membership` at a validated point."""
     (a1, a2, a3, cr12, cr21, crd), (m3, m3p, m4, m4p, m5, m6), tri, dval, dflip = (
         _quotients(x1, x2, x3)
     )
@@ -226,7 +231,7 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     c3 = c3 and c3p
 
     # the coordinate bounds below make the quadratic criteria decisive on all
-    # of C^3 (see docstring); each is implied by membership itself
+    # of C^3 (see membership); each is implied by membership itself
     c4 = ok(m4) and lt1(a2)
     c4p = ok(m4p) and lt1(a1)
     c4 = c4 and c4p
@@ -258,10 +263,8 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
         c9 = a3 < 1.0 and m6 > 0.0
 
     return MembershipReport(
-        in_set=c3,
-        c1=c3, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c7, c9=c9,
-        m3=m3, m3p=m3p, m4=m4, m4p=m4p, m5=m5, m6=m6,
-        triangular=tri, d_value=dval, closed=closed,
+        c3, c3, c2, c3, c4, c5, c6, c7, c7, c9,
+        m3, m3p, m4, m4p, m5, m6, tri, dval, closed,
     )
 
 
@@ -394,7 +397,7 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
     if not in_distinguished_boundary((x1, x2, x3), tol=tol):
         raise NotPeak("the point is not on the distinguished boundary")
 
-    if is_triangular((x1, x2, x3)):
+    if _quotients(x1, x2, x3)[2]:
         c1, c2, c3 = x1.conjugate(), x2.conjugate(), x3.conjugate()
 
         def g_tri(y) -> complex:
@@ -427,8 +430,7 @@ def separating_polynomial(x):
     truncated-geometric-series polynomial is built around it.
     """
     x1, x2, x3 = as_cpoint3(x)
-    rep = membership((x1, x2, x3), closed=True)
-    if rep.in_set:
+    if _report(x1, x2, x3, closed=True).in_set:
         raise InsideClosure("the point lies in the closure")
 
     mods = (abs(x1), abs(x2), abs(x3))
@@ -492,6 +494,6 @@ def construct_matrix_rep(x):
     contraction, strict exactly when x is in E (diag(x1, x2) when x is
     triangular).  Raises Outside for a point outside the closure."""
     x1, x2, x3 = as_cpoint3(x)
-    if not membership((x1, x2, x3), closed=True).in_set:
+    if not _report(x1, x2, x3, closed=True).in_set:
         raise Outside("the point lies outside the closure")
     return mat2(*_sym_rep_entries(x1, x2, x3))

@@ -328,6 +328,13 @@ def test_solve_schwarz_t_family_on_extremal():
         assert verify_interpolant(phi, samples=300, seed=7).passed
 
 
+def test_interpolants_compare_by_identity():
+    # the generated field-wise __eq__ compared the Z, u, v arrays and raised
+    phi = solve_schwarz(0.95j, GOLD_X)
+    assert (phi == solve_schwarz(0.95j, GOLD_X)) is False
+    assert phi == phi and len({phi, phi}) == 1
+
+
 def test_interpolant_payload_roundtrip(rng):
     for _ in range(20):
         l0, x = random_feasible_instance(rng)

@@ -9,6 +9,7 @@ import pytest
 from tetra.errors import BadShape, NumericalDegenerate, Outside, TooManyPoints
 from tetra.linalg import as_cmat2, mat2, op_norm, pi_map
 from tetra.musyn import (
+    MU_RTOL,
     SynthesisInstance,
     _dscale,
     bft_lower_bound,
@@ -148,7 +149,8 @@ def per_point_scaling_oracle(A):
 def test_stacked_scaling_grid_matches_the_per_point_search():
     # entry scales from 1e-6 to 1e6, zero upper, lower or both corners, real
     # matrices: the stacked grid gives each point the bytes it gives alone,
-    # and the oracle (so the one-node bound) equals the per-point search
+    # and the oracle (so the one-node bound) equals the per-point search, or
+    # on triangular matrices the closed form, which that search never beats
     rng = np.random.default_rng(10)
     grid = np.linspace(-12.0, 12.0, 121)
     for i in range(320):
@@ -166,9 +168,30 @@ def test_stacked_scaling_grid_matches_the_per_point_search():
             assert stack[k].tobytes() == _dscale(M, grid[k]).tobytes()
             assert stack[k].tobytes() == per_point_dscale(M, grid[k]).tobytes()
         expected = per_point_scaling_oracle(A)
+        if i % 5 in (1, 2, 3):
+            # triangular: the search stops at an end of its bracket, above
+            # the infimum (up to rounding), which the oracle gives in closed form
+            search = expected
+            expected = max(abs(A[0, 0]), abs(A[1, 1]))
+            assert expected <= search * (1.0 + 1e-12)
         assert mu_scaling_oracle(A) == expected
         if i % 8 == 0:
             assert bft_lower_bound([0.3 - 0.2j], [A]) == expected
+
+
+def test_scaling_oracle_is_exact_on_triangular_matrices(rng):
+    # no scaling attains the infimum max(|a11|, |a22|): it is approached as
+    # d -> 0 or d -> inf, beyond any bracket a search could use
+    assert mu_scaling_oracle([[0, 1], [0, 0]]) == 0.0
+    assert bft_lower_bound([0.5j], [[[0, 1], [0, 0]]]) == mu_diag([[0, 1], [0, 0]]) == 0.0
+    for i in range(40):
+        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        A[i % 2, 1 - i % 2] = 0.0
+        top = max(abs(A[0, 0]), abs(A[1, 1]))
+        assert mu_scaling_oracle(A) == top
+        lam = complex(*rng.uniform(-0.6, 0.6, 2))
+        assert bft_lower_bound([lam], [A]) == top
+        assert mu_diag(A) == pytest.approx(top, rel=MU_RTOL)
 
 
 def test_mu_diag_invariant_under_diagonal_conjugation(rng):

@@ -32,7 +32,7 @@ def pseudohyperbolic(lam1, lam2) -> float:
     """Pseudohyperbolic distance |lam1 - lam2| / |1 - conj(lam1) lam2| on the
     open unit disc, in [0, 1)."""
     l1, l2 = complex(lam1), complex(lam2)
-    if abs(l1) >= 1.0 or abs(l2) >= 1.0:
+    if not (abs(l1) < 1.0 and abs(l2) < 1.0):  # written so that a NaN fails
         raise OutsideDisc("both points must lie in the open unit disc")
     return abs(l1 - l2) / abs(1.0 - l1.conjugate() * l2)
 
@@ -160,7 +160,7 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
     only.
     """
     l1, l2 = complex(lam1), complex(lam2)
-    if abs(l1) >= 1.0 or abs(l2) >= 1.0:
+    if not (abs(l1) < 1.0 and abs(l2) < 1.0):  # written so that a NaN fails
         raise OutsideDisc("interpolation nodes must lie in the open disc")
     if abs(l1 - l2) < 1e-15:
         raise BadLambda("interpolation nodes must be distinct")

@@ -143,11 +143,12 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
     if float(np.linalg.norm(a)) < 1e-15:
         raise ZeroAlpha("alpha must be nonzero")
     _require_contraction(Zm)
-    return _uv_vectors(Zm, a, *_defect_factors(Zm))
+    return _uv_vectors(Zm, a)
 
 
-def _uv_vectors(Z, a, isqrt_w, sqrt_y) -> tuple[CVec2, CVec2]:
-    """u(a), v(a) from the defect factors of a validated contraction Z."""
+def _uv_vectors(Z, a) -> tuple[CVec2, CVec2]:
+    """u(a), v(a) of a validated contraction Z."""
+    isqrt_w, sqrt_y = _defect_factors(Z)
     g, h = _uv_cores(Z, a)
     return isqrt_w @ g, -inv2(sqrt_y) @ h
 
@@ -180,8 +181,7 @@ def choose_alpha(M) -> CVec2:
 class SchwarzWorkspace:
     """Frozen bundle of the interpolation data at one (lambda0, x):
     the matrix Z (with optional off-diagonal scaling sigma), the pivot
-    M(|lambda0|), the chosen alpha, the vectors u, v and the defect factors
-    of Z (see linalg._defect_factors), computed once for u, v and the lift."""
+    M(|lambda0|), the chosen alpha and the vectors u, v."""
 
     lambda0: complex
     x: CPoint3
@@ -191,8 +191,6 @@ class SchwarzWorkspace:
     alpha: CVec2
     u: CVec2
     v: CVec2
-    isqrt_w: CMat2
-    sqrt_y: CMat2
 
     @staticmethod
     def build(lam0, x, sigma: float = 1.0) -> "SchwarzWorkspace":
@@ -205,11 +203,10 @@ class SchwarzWorkspace:
         _require_contraction(Z, ": not strictly interior")
         M = _big_m(Z, abs(l0))
         alpha = choose_alpha(M)
-        isqrt_w, sqrt_y = _defect_factors(Z)
-        u, v = _uv_vectors(Z, alpha, isqrt_w, sqrt_y)
+        u, v = _uv_vectors(Z, alpha)
         if float(np.linalg.norm(u)) < _U_TINY and abs(b) >= _B_ZERO:
             raise NumericalDegenerate("u(alpha) vanished with b != 0")
-        return SchwarzWorkspace(l0, (a, b, p), w, Z, M, alpha, u, v, isqrt_w, sqrt_y)
+        return SchwarzWorkspace(l0, (a, b, p), w, Z, M, alpha, u, v)
 
 
 def _blaschke(a: complex, lam):
@@ -236,12 +233,12 @@ def scalar_np2(lam1, v1, lam2, v2, t=0.0):
     l1, l2 = complex(lam1), complex(lam2)
     w1, w2 = complex(v1), complex(v2)
     tc = complex(t)
-    if abs(l1) >= 1.0 or abs(l2) >= 1.0:
+    if not (abs(l1) < 1.0 and abs(l2) < 1.0):  # written so that a NaN fails
         raise BadLambda("interpolation nodes must lie in the open disc")
     if abs(l1 - l2) < 1e-15:
         raise BadLambda("interpolation nodes must be distinct")
     _check_t(tc)
-    if abs(w1) > 1.0 or abs(w2) > 1.0:
+    if not (abs(w1) <= 1.0 and abs(w2) <= 1.0):
         raise InfeasiblePick("target values must lie in the closed disc")
 
     d_nodes = pseudohyperbolic(l1, l2)
@@ -312,8 +309,8 @@ class Interpolant:
         if lams.ndim > 1:
             raise BadLambda(f"expected a point or a 1-D array, got shape {lams.shape}")
         radius = np.abs(lams)
-        if (radius > 1.0 + 1e-12).any():
-            raise OutsideDisc(f"|lambda| = {radius.max():.6f} > 1")
+        if not (radius <= 1.0 + 1e-12).all():  # written so that a NaN fails
+            raise OutsideDisc(f"|lambda| = {radius.max():.6f} is not at most 1")
         # a lone point stays a scalar, and its lift a lone 2x2 matrix
         F = self._lift(lams if lams.ndim else lams[()])
         if self.flipped:
@@ -423,14 +420,16 @@ def _mobius_lift(ws: SchwarzWorkspace):
     Sherman-Morrison gives (X + Z)(1 + Z*X)^{-1} = Z + c (1-ZZ*) u v*/(1 + c v*Z*u),
     so F = (C0 + s C1) diag(lam, 1) for C0 = (1-ZZ*)^{-1/2} Z (1-Z*Z)^{1/2}, C1 =
     -g h*/(lambda0 |u|^2) (g, h of _uv_cores) and s = beta/(1 + kappa beta) =
-    (lambda0 - lam)/(d0 - d1 lam) with kappa = v*Z*u/(lambda0 |u|^2)."""
+    (lambda0 - lam)/(d0 - d1 lam) with kappa = v*Z*u/(lambda0 |u|^2).  As
+    Z (1-Z*Z)^{1/2} = (1-ZZ*)^{1/2} Z, C0 is Z itself, so F(lambda0) has exactly
+    Z's second column."""
     nu2 = float(np.vdot(ws.u, ws.u).real)
     if nu2 < _U_TINY ** 2:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
     l0, Z, scale = ws.lambda0, ws.Z, ws.lambda0 * nu2
     kappa = complex(np.vdot(ws.v, Z.conj().T @ ws.u)) / scale
     g, h = _uv_cores(Z, ws.alpha)
-    C = np.array([(ws.isqrt_w @ Z) @ ws.sqrt_y, np.outer(g, h.conj()) / -scale])
+    C = np.array([Z, np.outer(g, h.conj()) / -scale])
     return _Pencil((l0, 1 + kappa * l0, l0.conjugate() + kappa, C))
 
 

@@ -6,8 +6,9 @@ lies in the tetrablock.  That reduction turns the robust-stabilisation
 style interpolation problems here into tetrablock geometry:
 
 * ``mu_diag`` computes mu by bisection on the membership criterion, with
-  ``mu_scaling_oracle`` (diagonal-scaling infimum of the operator norm) as
-  an independent cross-check (exact for this 2-block structure),
+  ``mu_scaling_oracle`` as an independent cross-check: the operator norm
+  at the balancing diagonal scaling, in closed form, which equals mu for
+  this 2-block structure (Packard & Doyle, Automatica 1993),
 * ``synth_two_point`` solves the two-point problem F(0) of a fixed
   one-corner shape, F(lambda0) = A2, mu(F) <= 1 pointwise,
 * ``synth_two_point_general`` decides the two-interior-point problem when
@@ -75,41 +76,27 @@ def mu_scaling_oracle(A) -> float:
 
     For the 2-block diagonal structure this equals mu (the scaling upper
     bound is tight), so it serves as an independent oracle for
-    :func:`mu_diag`.  The norm is unimodal in log d — its squared value is
-    an increasing function of |a12|^2 d^2 + |a21|^2 / d^2 with the other
-    invariants fixed — so a coarse grid plus golden-section search on
-    log d in [-12, 12] finds the infimum reliably.  The 121-point grid is
-    one stacked :func:`op_norm` call, which gives each scaled matrix
-    exactly its scalar norm; the golden-section refinement is scalar.  A
-    triangular A (a12 or a21 exactly 0) has no minimiser: the infimum
-    max(|a11|, |a22|) is approached as d -> 0 or d -> inf, so it is returned
-    in closed form.  Raises NumericalDegenerate when an entry of A reaches
-    1e150, the bound below which no scaled norm overflows.
+    :func:`mu_diag`.  The squared norm is an increasing function of
+    |a12|^2 d^2 + |a21|^2 / d^2 with the other invariants fixed, so the
+    infimum is attained at d^2 = |a21| / |a12|, where both corners have
+    modulus sqrt(|a12 a21|), and is the norm there.  A triangular A (a12 or
+    a21 exactly 0) has no minimiser: the infimum max(|a11|, |a22|) is
+    approached as d -> 0 or d -> inf, so it is returned in closed form.
+    Raises NumericalDegenerate when an entry of A reaches 1e150, the bound
+    below which no scaled norm overflows.
     """
     M = as_cmat2(A)
     if not (np.abs(M) < _PI_MAX).all():
         raise NumericalDegenerate(f"an entry of A reaches 1e150: {np.abs(M).max():.3e}")
     if M[0, 1] == 0 or M[1, 0] == 0:
         return max(abs(complex(M[0, 0])), abs(complex(M[1, 1])))
-    grid = np.linspace(-12.0, 12.0, 121)
-    k = int(np.argmin(op_norm(_dscale(M, grid))))
-    return _golden_section(lambda s: op_norm(_dscale(M, s)),
-                           grid[max(k - 1, 0)], grid[min(k + 1, 120)], 1e-9)
+    return op_norm(_dscale(M, (math.log(abs(M[1, 0])) - math.log(abs(M[0, 1]))) / 2.0))
 
 
-def _dscale(T, s):
-    """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1); for a 1-D array of
-    s, the (n, 2, 2) stack of these matrices, each one exactly the matrix
-    its s gives alone (``math.exp`` per point, as ``np.exp`` may round
-    differently)."""
-    if not isinstance(s, np.ndarray):
-        d = math.exp(s)
-        return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
-    d = np.array([math.exp(v) for v in s])
-    S = np.empty((len(d), 2, 2), dtype=complex)
-    S[:, 0, 0], S[:, 1, 1] = T[0, 0], T[1, 1]
-    S[:, 0, 1], S[:, 1, 0] = T[0, 1] * d, T[1, 0] / d
-    return S
+def _dscale(T, s: float) -> CMat2:
+    """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1)."""
+    d = math.exp(s)
+    return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
 
 
 def _golden_section(f, lo, hi, tol: float) -> float:
@@ -312,7 +299,7 @@ def bft_lower_bound(points, targets) -> float:
     if n == 0 or n > 2:
         raise TooManyPoints("only 1 or 2 interpolation nodes are supported")
     for z in pts:
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:  # written so that a NaN fails
             raise BadShape("nodes must lie in the open unit disc")
     if n == 2 and abs(pts[0] - pts[1]) < 1e-14:
         raise BadShape("nodes must be distinct")

@@ -70,6 +70,8 @@ def psi(z, x) -> complex:
     """
     x1, x2, x3 = as_cpoint3(x)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise NonFinite(f"z must be finite, got {z}")
     if _quotients(x1, x2, x3)[2]:
         return x1
     den = x2 * z - 1.0
@@ -332,11 +334,12 @@ class GeodesicDisc:
 def geodesic_eval(disc: GeodesicDisc, lam) -> CPoint3:
     """Evaluate the analytic disc at lam in the open unit disc."""
     b1, b2 = complex(disc.beta1), complex(disc.beta2)
-    if abs(b1) + abs(b2) >= 1.0:
-        raise BadBeta(f"|beta1| + |beta2| = {abs(b1) + abs(b2):.6f} >= 1")
+    # written so that a NaN fails each check
+    if not abs(b1) + abs(b2) < 1.0:
+        raise BadBeta(f"|beta1| + |beta2| = {abs(b1) + abs(b2):.6f} is not below 1")
     lam = complex(lam)
-    if abs(lam) >= 1.0:
-        raise OutsideDisc(f"|lambda| = {abs(lam):.6f} >= 1")
+    if not abs(lam) < 1.0:
+        raise OutsideDisc(f"|lambda| = {abs(lam):.6f} is not below 1")
     return (b1 + b2.conjugate() * lam, b2 + b1.conjugate() * lam, lam)
 
 

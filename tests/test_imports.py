@@ -1,8 +1,12 @@
-"""Every import in the library is used.
+"""Every import in the library is used, and so is every private helper.
 
 An import is unused when the name it binds is never read in its module, is
 not listed in ``__all__`` and its import statement carries no ``# noqa``
-(on the statement's first line or on the name's own line).
+(on the statement's first line or on the name's own line).  A private
+module-level name (one leading underscore) is orphaned when no module of
+the library reads it: no load of the name, no attribute of that name and no
+``from ... import`` of it.  Tests do not count as readers, so a deletion
+cannot leave a helper behind that only a test still calls.
 """
 import ast
 import pathlib
@@ -40,6 +44,47 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Private names bound at module level, with the line binding each."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes accessed and names imported from a module."""
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read |= {alias.name for alias in n.names}
+    return read
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set().union(*(names_read(t) for t in trees.values()))
+    return sorted(
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_names(tree).items()
+        if name not in read
+    )
+
+
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -54,3 +99,17 @@ def test_the_check_sees_an_unused_import():
         "x = math.pi\n"
     )
     assert unused_imports(source) == ["line 3: NormTooLarge"]
+
+
+def test_no_orphaned_private_names():
+    assert orphaned_private_names({p.name: p.read_text() for p in SRC}) == []
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    sources = {
+        "a.py": "_TOL = 1e-9\n_UNUSED = 2\ndef _helper():\n    return _TOL\n",
+        "b.py": "from .a import _helper\nclass _Gone:\n    pass\n",
+    }
+    assert orphaned_private_names(sources) == [
+        "a.py line 2: _UNUSED", "b.py line 2: _Gone",
+    ]

@@ -628,6 +628,21 @@ def test_mobius_lift_matches_its_definition(rng):
     assert checked == 3 * (3 + 9)
 
 
+def test_mobius_lift_at_lambda0_keeps_the_second_column_of_z(rng):
+    # the pencil's constant term is Z itself and its s vanishes at lambda0,
+    # so F(lambda0) = Z diag(lambda0, 1): the second column is Z's, bit for bit
+    checked = 0
+    for _ in range(3):
+        phis = [p for p in every_variant(rng) if p.u is not None]  # Moebius and sigma
+        for phi in phis + mobius_targets(rng):
+            F = phi.lift_evaluate(phi.lambda0)
+            if phi.flipped:
+                F = F[::-1, ::-1].T
+            assert F[:, 1].tobytes() == phi.Z[:, 1].tobytes()
+            checked += 1
+    assert checked == 3 * (3 + 9)
+
+
 def test_schwarz_pick_along_every_lift(rng):
     # c_T(phi(l1), phi(l2)) is a lower bound for the Caratheodory distance
     # of E, which phi cannot increase: it is at most rho(l1, l2)

@@ -11,7 +11,6 @@ from tetra.linalg import as_cmat2, mat2, op_norm, pi_map
 from tetra.musyn import (
     MU_RTOL,
     SynthesisInstance,
-    _dscale,
     bft_lower_bound,
     lift_to_sigma,
     mu_diag,
@@ -146,13 +145,14 @@ def per_point_scaling_oracle(A):
     return min(fc, fd)
 
 
-def test_stacked_scaling_grid_matches_the_per_point_search():
+def test_scaling_oracle_is_at_most_the_per_point_search():
     # entry scales from 1e-6 to 1e6, zero upper, lower or both corners, real
-    # matrices: the stacked grid gives each point the bytes it gives alone,
-    # and the oracle (so the one-node bound) equals the per-point search, or
-    # on triangular matrices the closed form, which that search never beats
+    # matrices: the search never beats the closed-form oracle (beyond
+    # rounding), and on full matrices it reaches it.  Measured worst case:
+    # search / oracle - 1 = 9.1e-10 on full matrices; on triangular ones
+    # the search stops at an end of its bracket, far above the infimum.
+    # The one-node bound is the oracle.
     rng = np.random.default_rng(10)
-    grid = np.linspace(-12.0, 12.0, 121)
     for i in range(320):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         A *= 10.0 ** rng.uniform(-6.0, 6.0, size=(2, 2))
@@ -162,21 +162,30 @@ def test_stacked_scaling_grid_matches_the_per_point_search():
             A[1, 0] = 0.0
         if i % 5 == 4:
             A = A.real.astype(complex)
-        M = as_cmat2(A)
-        stack = _dscale(M, grid)
-        for k in range(0, 121, 4):
-            assert stack[k].tobytes() == _dscale(M, grid[k]).tobytes()
-            assert stack[k].tobytes() == per_point_dscale(M, grid[k]).tobytes()
-        expected = per_point_scaling_oracle(A)
+        oracle = mu_scaling_oracle(A)
+        search = per_point_scaling_oracle(A)
+        assert oracle <= search * (1.0 + 1e-12)
         if i % 5 in (1, 2, 3):
-            # triangular: the search stops at an end of its bracket, above
-            # the infimum (up to rounding), which the oracle gives in closed form
-            search = expected
-            expected = max(abs(A[0, 0]), abs(A[1, 1]))
-            assert expected <= search * (1.0 + 1e-12)
-        assert mu_scaling_oracle(A) == expected
+            assert oracle == max(abs(A[0, 0]), abs(A[1, 1]))
+        else:
+            assert search <= oracle * (1.0 + 1e-8)
         if i % 8 == 0:
-            assert bft_lower_bound([0.3 - 0.2j], [A]) == expected
+            assert bft_lower_bound([0.3 - 0.2j], [A]) == oracle
+
+
+def test_scaling_oracle_is_one_on_unitaries(rng):
+    # a unitary has mu = 1; measured worst case 3 eps (the search read
+    # up to 7.9e-11 off)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        assert abs(mu_scaling_oracle(random_unitary(rng)) - 1.0) <= 4 * eps
+
+
+def test_scaling_oracle_on_the_readme_matrix():
+    # |a12| = |a21| balances at d = 1, where A = (1 + i sigma_x)/2 is normal
+    # with both eigenvalues of modulus 1/sqrt(2)
+    A = 0.5 * np.array([[1.0, 1j], [1j, 1.0]])
+    assert mu_scaling_oracle(A) == math.sqrt(0.5)
 
 
 def test_scaling_oracle_is_exact_on_triangular_matrices(rng):

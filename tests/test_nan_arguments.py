@@ -1,0 +1,49 @@
+"""A NaN argument raises the typed error its range check names.
+
+Each check below is written as ``not abs(z) < 1.0`` (or ``<=``), so that a
+NaN fails it, rather than as ``abs(z) >= 1.0``, which a NaN passes.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from tetra.autgroup import pseudohyperbolic, schwarz_pick_triangular
+from tetra.errors import BadBeta, BadLambda, BadShape, InfeasiblePick, NonFinite, OutsideDisc
+from tetra.interpolate import scalar_np2, solve_schwarz
+from tetra.musyn import bft_lower_bound, synth_two_point_general
+from tetra.tetrablock import GeodesicDisc, geodesic_eval, psi, upsilon_fn
+
+NAN = math.nan
+X = (0.5, 0.25, 0.5)
+TRI = (0.3, 0.2, 0.06)
+UPPER = [[0.3, 0.1], [0.0, 0.2]]
+FULL = [[0.3, 0.1], [0.2, 0.2]]
+PHI = solve_schwarz(-0.9, X)
+
+CASES = [
+    (lambda: pseudohyperbolic(NAN, 0.2), OutsideDisc),
+    (lambda: pseudohyperbolic(0.2, complex(0.1, NAN)), OutsideDisc),
+    (lambda: scalar_np2(NAN, 0.1, 0.5, 0.2), BadLambda),
+    (lambda: scalar_np2(0.0, 0.1, NAN, 0.2), BadLambda),
+    (lambda: scalar_np2(0.0, 0.1, 0.5, NAN), InfeasiblePick),
+    (lambda: schwarz_pick_triangular(NAN, 0.5, TRI, X), OutsideDisc),
+    (lambda: schwarz_pick_triangular(0.0, NAN, TRI, X), OutsideDisc),
+    (lambda: synth_two_point_general(NAN, 0.5, UPPER, FULL), OutsideDisc),
+    (lambda: synth_two_point_general(0.0, NAN, UPPER, FULL), OutsideDisc),
+    (lambda: bft_lower_bound([NAN], [FULL]), BadShape),
+    (lambda: bft_lower_bound([0.0, NAN], [UPPER, FULL]), BadShape),
+    (lambda: geodesic_eval(GeodesicDisc(NAN, 0.1), 0.2), BadBeta),
+    (lambda: geodesic_eval(GeodesicDisc(0.2, 0.1), NAN), OutsideDisc),
+    (lambda: psi(NAN, X), NonFinite),
+    (lambda: psi(complex(0.0, NAN), TRI), NonFinite),
+    (lambda: upsilon_fn(NAN, X), NonFinite),
+    (lambda: PHI.lift_evaluate(NAN), OutsideDisc),
+    (lambda: PHI.evaluate(np.array([0.1, NAN, 0.2])), OutsideDisc),
+]
+
+
+@pytest.mark.parametrize("call, error", CASES, ids=[str(k) for k in range(len(CASES))])
+def test_a_nan_argument_raises_a_typed_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -17,8 +17,18 @@ from tetra.autgroup import DiscAut, act_left, act_right, flip
 from tetra.errors import Pole
 from tetra.interpolate import all_solutions_params, solve_schwarz, solve_with_sigma
 from tetra.linalg import mat2, op_norm, pi_map
-from tetra.musyn import MU_RTOL, mu_diag
+from tetra.metrics import pseudohyperbolic
+from tetra.musyn import (
+    MU_RTOL,
+    SynthesisInstance,
+    bft_lower_bound,
+    mu_diag,
+    synth_two_point,
+)
 from tetra.tetrablock import criterion_max, membership
+
+from conftest import random_contraction, random_disc, random_point_in_e
+from test_distance_oracle import c_T
 
 _ENTRIES = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
 _ANGLE = st.floats(0.0, 2.0 * math.pi)
@@ -164,3 +174,57 @@ def test_mu_is_invariant_under_diagonal_unitaries_and_transpose(e, norm, zero, t
     mu = mu_diag(A)
     assert abs(mu_diag(A.T) - mu) <= MU_RTOL * mu
     assert abs(mu_diag(D @ A @ D.conj().T) - mu) <= MU_RTOL * mu
+
+
+def test_commutant_bound_stays_below_one_under_a_synthesised_solution():
+    """F is analytic with mu(F) <= 1 on the disc, so the diagonal-scaling
+    infimum of the commutant operator at its values at 0 and lambda0 is at
+    most 1.  Twelve seeded instances, four of each A1 shape, with
+    |lambda0| = threshold / slack for slack in (0.9, 1): the threshold is
+    the two-quotient maximum of pi(A2) for a corner shape and mu(A2) for the
+    zero shape.  Measured worst case: 0.9971."""
+    shapes = {"upper": mat2(0, 1, 0, 0), "lower": mat2(0, 0, 1, 0),
+              "zero": mat2(0, 0, 0, 0)}
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    for k in range(12):
+        shape = ("upper", "lower", "zero")[k % 3]
+        while True:
+            A2 = random_contraction(rng, lo=0.2, hi=0.9)
+            x = pi_map(A2)
+            if not membership(x).in_set:
+                continue
+            threshold = mu_diag(A2) if shape == "zero" else criterion_max(x)
+            l0 = threshold / rng.uniform(0.9, 1.0) * np.exp(2j * np.pi * rng.uniform())
+            if abs(l0) < 0.99:
+                break
+        feasible, F = synth_two_point(SynthesisInstance(l0, shapes[shape], A2))
+        assert feasible
+        worst = max(worst, bft_lower_bound([0.0, l0], [F(0.0), F(l0)]))
+    assert worst <= 1.0
+
+
+def test_extremal_interpolants_are_geodesics(rng):
+    """An svd_reduced interpolant phi is a complex geodesic: c_T, the Psi/
+    Upsilon lower bound for the Caratheodory distance, which phi cannot
+    increase, gives exactly rho(l1, l2) at every pair of nodes.  Forty
+    seeded targets with |lambda0| at the two-quotient maximum itself, four
+    node pairs each, |l| <= 0.99.  Measured worst case: |c_T - rho| =
+    4.9e-15 over 2560 pairs (160 targets on each of four seeds).  With
+    |lambda0| raised by 1e-12 relative, still inside the extremal band and
+    so still svd_reduced, c_T falls below rho by up to 1.3e-10 (1 - rho):
+    the data are then not quite extremal."""
+    checked = 0
+    while checked < 40:
+        x = random_point_in_e(rng, hi=0.85)
+        cm = criterion_max(x)
+        if not 1e-3 < cm < 0.95:
+            continue
+        phi = solve_schwarz(cm * np.exp(2j * np.pi * rng.uniform()), x,
+                            t=random_disc(rng, 1.0))
+        assert phi.variant == "svd_reduced"
+        for _ in range(4):
+            l1, l2 = random_disc(rng, 0.99), random_disc(rng, 0.99)
+            c = c_T(phi.evaluate(l1), phi.evaluate(l2))
+            assert abs(c - pseudohyperbolic(l1, l2)) <= 1e-13
+        checked += 1

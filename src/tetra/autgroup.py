@@ -11,11 +11,13 @@ pseudohyperbolic distance of the disc that criterion compares against
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
     BadLambda,
+    NonFinite,
     NotTriangular,
     NotUnimodular,
     NumericalDegenerate,
@@ -57,7 +59,11 @@ class DiscAut:
         object.__setattr__(self, "alpha", al)
 
     def __call__(self, z) -> complex:
+        """The image of z.  A non-finite z raises NonFinite, as psi does,
+        rather than returning NaN; z at the pole 1/conj(alpha) raises Pole."""
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise NonFinite(f"z must be finite, got {z}")
         den = self.alpha.conjugate() * z - 1.0
         if abs(den) < 1e-14:
             raise Pole(f"disc automorphism has a pole at z = {z}")

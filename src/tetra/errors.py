@@ -122,6 +122,10 @@ class BadSamples(TetraError, ValueError):
     for fewer than two grid points."""
 
 
+class BadTolerance(TetraError, ValueError):
+    """An audit tolerance is NaN, infinite or negative."""
+
+
 # --- automorphisms -----------------------------------------------------------
 
 class Pole(TetraError):

@@ -8,9 +8,11 @@ two-quotient criterion; the construction routes through:
 
 * a scaled line for triangular targets,
 * the matricial Moebius transport of a constant rank-one function for
-  strictly interior non-triangular targets (the M(rho)/u/v machinery),
-  evaluated as the pencil F(lam) = (C0 + s(lam) C1) diag(lam, 1) that the
-  Sherman-Morrison formula gives for a rank-one constant (see _mobius_lift),
+  strictly interior non-triangular targets (the M(rho)/u/v machinery, in
+  closed form on the four entries of Z, with no eigensolver or matrix
+  inverse), evaluated as the pencil F(lam) = (C0 + s(lam) C1) diag(lam, 1)
+  that the Sherman-Morrison formula gives for a rank-one constant (see
+  _mobius_lift),
 * an SVD reduction to a scalar two-point Nevanlinna-Pick problem in the
   extremal case (and for the non-uniqueness family),
 * the one-parameter sigma family of interpolants sweeping all admissible
@@ -32,6 +34,7 @@ from .errors import (
     BadPayload,
     BadShape,
     BadSamples,
+    BadTolerance,
     Extremal,
     Infeasible,
     InfeasiblePick,
@@ -46,14 +49,14 @@ from .errors import (
 from .linalg import (
     CMat2,
     CVec2,
-    _I2,
+    _abs2,
     _cdiv,
     _cmul,
-    _defect_factors,
+    _herm2_spectrum,
+    _isqrt_times,
     _require_contraction,
     _right_const,
     as_cmat2,
-    inv2,
     mat2,
     op_norm,
     pi_map,
@@ -116,21 +119,38 @@ def big_m(Z, rho: float) -> CMat2:
     if not 0.0 <= rho < 1.0:
         raise BadLambda(f"rho must lie in [0, 1), got {rho}")
     _require_contraction(Zm)
-    return _big_m(Zm, rho)
+    z = Zm.ravel().tolist()
+    m11, m12, m22 = _big_m(z, *_defects(z), rho)
+    return mat2(m11, m12, m12.conjugate(), m22)
 
 
-def _big_m(Z, rho: float) -> CMat2:
-    """M(rho) of a validated contraction Z (see :func:`big_m`)."""
-    Zs = Z.conj().T
-    inv_y = inv2(_I2 - Zs @ Z)
-    inv_w = inv2(_I2 - Z @ Zs)
+def _defects(z):
+    """Y = 1 - Z*Z and W = 1 - ZZ* of a contraction Z with entries z = [z11,
+    z12, z21, z22], each as its Hermitian entries (p11, p12, p22) and its
+    determinant; NumericalDegenerate where rounding leaves one singular."""
+    z11, z12, z21, z22 = z
+    n11, n12, n21, n22 = _abs2(z11), _abs2(z12), _abs2(z21), _abs2(z22)
+    y11, y22 = 1.0 - n11 - n21, 1.0 - n12 - n22
+    w11, w22 = 1.0 - n11 - n12, 1.0 - n21 - n22
+    y12 = -(z11.conjugate() * z12 + z21.conjugate() * z22)
+    w12 = -(z11 * z21.conjugate() + z12 * z22.conjugate())
+    dy, dw = y11 * y22 - _abs2(y12), w11 * w22 - _abs2(w12)
+    if not (dy > 0.0 and dw > 0.0):
+        raise NumericalDegenerate("1 - Z*Z is singular to working precision")
+    return (y11, y12, y22, dy), (w11, w12, w22, dw)
+
+
+def _big_m(z, Y, W, rho: float) -> tuple[float, complex, float]:
+    """(m11, m12, m22) of M(rho) (see :func:`big_m`), from Z's entries and
+    the defects Y, W of :func:`_defects`: with c = 1 - rho^2 the display's
+    entries are c (Y^{-1})_11 + rho^2, c (W^{-1})_22 - 1 and c (Z* W^{-1})_12,
+    each inverse the adjugate over the determinant; [2,1] is conj([1,2])."""
+    y22, dy = Y[2], Y[3]
+    w11, w12, dw = W[0], W[1], W[3]
     r2 = rho * rho
-    m11 = ((_I2 - r2 * (Zs @ Z)) @ inv_y)[0, 0]
-    m22 = ((Z @ Zs - r2 * _I2) @ inv_w)[1, 1]
-    m12 = ((1.0 - r2) * (Zs @ inv_w))[0, 1]
-    m21 = ((1.0 - r2) * (inv_w @ Z))[1, 0]
-    M = mat2(m11, m12, m21, m22)
-    return (M + M.conj().T) / 2.0
+    c = 1.0 - r2
+    m12 = c * (w11 * z[2].conjugate() - w12 * z[0].conjugate()) / dw
+    return c * y22 / dy + r2, m12, c * w11 / dw - 1.0
 
 
 def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
@@ -140,48 +160,71 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
     a = np.asarray(alpha, dtype=complex).ravel()
     if a.shape != (2,):
         raise BadShape(f"alpha must have 2 entries, got {a.size}")
-    if float(np.linalg.norm(a)) < 1e-15:
+    a = a.tolist()
+    if math.hypot(abs(a[0]), abs(a[1])) < 1e-15:
         raise ZeroAlpha("alpha must be nonzero")
     _require_contraction(Zm)
-    return _uv_vectors(Zm, a)
+    z = Zm.ravel().tolist()
+    u1, u2, v1, v2 = _uv_vectors(z, *_defects(z), *a)
+    return np.array([u1, u2]), np.array([v1, v2])
 
 
-def _uv_vectors(Z, a) -> tuple[CVec2, CVec2]:
-    """u(a), v(a) of a validated contraction Z."""
-    isqrt_w, sqrt_y = _defect_factors(Z)
-    g, h = _uv_cores(Z, a)
-    return isqrt_w @ g, -inv2(sqrt_y) @ h
+def _uv_vectors(z, Y, W, a1, a2) -> tuple[complex, complex, complex, complex]:
+    """(u1, u2, v1, v2) of u(a), v(a) (see :func:`uv_vectors`), from Z's
+    entries and the defects Y, W of :func:`_defects`."""
+    g1, g2, h1, h2 = _uv_cores(z, a1, a2)
+    u1, u2 = _isqrt_times(*W, g1, g2)
+    v1, v2 = _isqrt_times(*Y, h1, h2)
+    return u1, u2, -v1, -v2
 
 
-def _uv_cores(Z, a) -> tuple[CVec2, CVec2]:
-    """(1-ZZ*)^{1/2} u(a) and -(1-Z*Z)^{1/2} v(a), free of matrix products."""
-    return a[0] * Z[:, 0] + a[1] * _I2[:, 1], a[0] * _I2[:, 0] + a[1] * Z[1].conj()
+def _uv_cores(z, a1, a2) -> tuple[complex, complex, complex, complex]:
+    """(1-ZZ*)^{1/2} u(a) = (g1, g2) and -(1-Z*Z)^{1/2} v(a) = (h1, h2)."""
+    return a1 * z[0], a1 * z[2] + a2, a1 + a2 * z[2].conjugate(), a2 * z[3].conjugate()
 
 
 def choose_alpha(M) -> CVec2:
     """Unit eigenvector of a Hermitian M for its smallest eigenvalue, with
     the first nonzero component rotated to the positive real axis (a fixed
-    phase so runs are reproducible).  Requires min eig <= 1e-9."""
-    Mm = as_cmat2(M)
-    Mm = (Mm + Mm.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(Mm)
-    if evals[0] > _ALPHA_TOL:
+    phase so runs are reproducible).  Requires min eig <= 1e-9.  Computed in
+    closed form from the entries of (M + M*)/2, with no eigensolver: see
+    :func:`_choose_alpha`."""
+    m11, m12, m21, m22 = as_cmat2(M).ravel().tolist()
+    h12 = (m12 + m21.conjugate()) / 2.0
+    return np.array(_choose_alpha(m11.real, h12, m22.real))
+
+
+def _choose_alpha(h11: float, h12: complex, h22: float) -> tuple[complex, complex]:
+    """:func:`choose_alpha` of H = [[h11, h12], [conj h12, h22]].  With lam
+    its least eigenvalue (h11 + h22)/2 - hypot((h11 - h22)/2, |h12|), the
+    rows of H - lam I give the eigenvectors (h12, lam - h11) and (lam - h22,
+    conj h12); the longer is taken, or e1 when both vanish (H = lam I)."""
+    lam = _herm2_spectrum(h11, h12, h12.conjugate(), h22)[2][0]
+    if lam > _ALPHA_TOL:
         raise PositiveDefinite(
-            f"min eigenvalue {evals[0]:.3e} > {_ALPHA_TOL:.1e}: no admissible alpha"
+            f"min eigenvalue {lam:.3e} > {_ALPHA_TOL:.1e}: no admissible alpha"
         )
-    a = evecs[:, 0].astype(complex)
-    for c in a:
-        if abs(c) > 1e-12:
-            a = a * (c.conjugate() / abs(c))
-            break
-    return a
+    n1, n2 = math.hypot(abs(h12), lam - h11), math.hypot(lam - h22, abs(h12))
+    if n1 == n2 == 0.0:
+        return 1 + 0j, 0j
+    if n1 >= n2:
+        a = (h12 / n1, (lam - h11) / n1)
+    else:
+        a = ((lam - h22) / n2, h12.conjugate() / n2)
+    c = a[0] if abs(a[0]) > 1e-12 else a[1]
+    phase = c.conjugate() / abs(c)
+    return a[0] * phase, a[1] * phase
 
 
 @dataclass(frozen=True)
 class SchwarzWorkspace:
     """Frozen bundle of the interpolation data at one (lambda0, x):
     the matrix Z (with optional off-diagonal scaling sigma), the pivot
-    M(|lambda0|), the chosen alpha and the vectors u, v."""
+    M(|lambda0|), the chosen alpha and the vectors u, v.  ``build`` computes
+    them in scalar arithmetic on Z's four entries: the defects 1 - Z*Z and
+    1 - ZZ* once, M from their adjugates, alpha in closed form, and u, v
+    through the closed-form inverse square roots of the defects; the fields
+    are then stored as arrays."""
 
     lambda0: complex
     x: CPoint3
@@ -199,14 +242,19 @@ class SchwarzWorkspace:
             raise SigmaOutOfRange(f"sigma must be positive and finite, got {sigma}")
         a, b, p = as_cpoint3(x)
         w = principal_sqrt((a * b - p) / l0)
-        Z = mat2(a / l0, sigma * w, w / sigma, b)
+        z = [a / l0, sigma * w, w / sigma, b]
+        Z = mat2(*z)
         _require_contraction(Z, ": not strictly interior")
-        M = _big_m(Z, abs(l0))
-        alpha = choose_alpha(M)
-        u, v = _uv_vectors(Z, alpha)
-        if float(np.linalg.norm(u)) < _U_TINY and abs(b) >= _B_ZERO:
+        Y, W = _defects(z)
+        m11, m12, m22 = _big_m(z, Y, W, abs(l0))
+        alpha = _choose_alpha(m11, m12, m22)
+        u1, u2, v1, v2 = _uv_vectors(z, Y, W, *alpha)
+        if math.hypot(abs(u1), abs(u2)) < _U_TINY and abs(b) >= _B_ZERO:
             raise NumericalDegenerate("u(alpha) vanished with b != 0")
-        return SchwarzWorkspace(l0, (a, b, p), w, Z, M, alpha, u, v)
+        return SchwarzWorkspace(
+            l0, (a, b, p), w, Z, mat2(m11, m12, m12.conjugate(), m22),
+            np.array(alpha), np.array([u1, u2]), np.array([v1, v2]),
+        )
 
 
 def _blaschke(a: complex, lam):
@@ -251,24 +299,38 @@ def scalar_np2(lam1, v1, lam2, v2, t=0.0):
         )
     if abs(w1) >= 1.0:
         # unimodular value forces the constant by the maximum principle
-        def g_const(lam):
-            return w1 if np.ndim(lam) == 0 else np.full(np.shape(lam), w1)
-
-        return g_const
+        return _Bound((_constant, w1))
 
     b1_at_l2 = (l2 - l1) / (1.0 - l1.conjugate() * l2)
     h2 = ((w2 - w1) / (1.0 - w1.conjugate() * w2)) / b1_at_l2
     pinned = abs(h2) >= 1.0 - 1e-13
     if pinned:
         h2 = h2 / abs(h2)
+    return _Bound((_two_step, w1, l1, l2, h2, pinned, tc))
 
-    def g(lam):
-        lamc = np.asarray(lam, dtype=complex)
-        hv = h2 if pinned else _schur_step(h2, _blaschke(l2, lamc), tc)
-        out = _schur_step(w1, _blaschke(l1, lamc), hv)
-        return complex(out) if np.ndim(out) == 0 else out
 
-    return g
+class _Bound(tuple):
+    """(f, *args) called as f(*args, lam): a lift or scalar interpolant that
+    holds only the values it reads, as a bare tuple rather than a closure,
+    because callers may keep many interpolants."""
+    __slots__ = ()
+
+    def __call__(self, lam):
+        return self[0](*self[1:], lam)
+
+
+def _constant(w: complex, lam):
+    """w at a point, or at each point of an array."""
+    return w if np.ndim(lam) == 0 else np.full(np.shape(lam), w)
+
+
+def _two_step(w1, l1, l2, h2, pinned, tc, lam):
+    """scalar_np2's interpolant: two Schur steps, the inner one with the free
+    parameter tc unless the data pin it."""
+    lamc = np.asarray(lam, dtype=complex)
+    hv = h2 if pinned else _schur_step(h2, _blaschke(l2, lamc), tc)
+    out = _schur_step(w1, _blaschke(l1, lamc), hv)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(slots=True, eq=False)
@@ -423,25 +485,37 @@ def _mobius_lift(ws: SchwarzWorkspace):
     (lambda0 - lam)/(d0 - d1 lam) with kappa = v*Z*u/(lambda0 |u|^2).  As
     Z (1-Z*Z)^{1/2} = (1-ZZ*)^{1/2} Z, C0 is Z itself, so F(lambda0) has exactly
     Z's second column."""
-    nu2 = float(np.vdot(ws.u, ws.u).real)
+    (u1, u2), (v1, v2) = ws.u.tolist(), ws.v.tolist()
+    nu2 = _abs2(u1) + _abs2(u2)
     if nu2 < _U_TINY ** 2:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
-    l0, Z, scale = ws.lambda0, ws.Z, ws.lambda0 * nu2
-    kappa = complex(np.vdot(ws.v, Z.conj().T @ ws.u)) / scale
-    g, h = _uv_cores(Z, ws.alpha)
-    C = np.array([Z, np.outer(g, h.conj()) / -scale])
-    return _Pencil((l0, 1 + kappa * l0, l0.conjugate() + kappa, C))
+    l0, z, scale = ws.lambda0, ws.Z.ravel().tolist(), ws.lambda0 * nu2
+    zv1, zv2 = z[0] * v1 + z[1] * v2, z[2] * v1 + z[3] * v2  # v*Z*u = (Zv)* u
+    kappa = (zv1.conjugate() * u1 + zv2.conjugate() * u2) / scale
+    g1, g2, h1, h2 = _uv_cores(z, *ws.alpha.tolist())
+    h1, h2 = h1.conjugate() / -scale, h2.conjugate() / -scale
+    C1 = mat2(g1 * h1, g1 * h2, g2 * h1, g2 * h2)
+    return _Bound((_pencil, l0, 1 + kappa * l0, l0.conjugate() + kappa, ws.Z, C1))
 
 
-class _Pencil(tuple):
-    """(lambda0, d0, d1, [C0, C1]) of _mobius_lift, evaluated when called; a
-    bare tuple, because callers may keep many interpolants."""
-    __slots__ = ()
+def _pencil(l0, d0, d1, C0, C1, lam):
+    """(C0 + s C1) diag(lam, 1), s = (l0 - lam)/(d0 - d1 lam): the lift of
+    _mobius_lift, whose C0 is the interpolant's own Z."""
+    s = _cdiv(l0 - lam, d0 - _cmul(d1, lam))
+    return _times_diag(C0 + _cmul(_per_point(s), C1), lam)
 
-    def __call__(self, lam):
-        l0, d0, d1, C = self
-        s = _cdiv(l0 - lam, d0 - _cmul(d1, lam))
-        return _times_diag(C[0] + _cmul(_per_point(s), C[1]), lam)
+
+def _times_point(G, lam):
+    """G scaled by the point, or the stack of G scaled by each point."""
+    return _per_point(lam) * G
+
+
+def _svd_lift(U, Vh, c, scalar, lam):
+    """U diag(c, scalar(lam)) Vh diag(lam, 1), the svd_reduced lift."""
+    d = np.empty(np.shape(lam) + (2,), dtype=complex)
+    d[..., 0] = c
+    d[..., 1] = scalar(lam)
+    return _times_diag(_right_const(U * d[..., None, :], Vh), lam)
 
 
 def solve_schwarz(lam0, x, t=0j) -> Interpolant:
@@ -475,7 +549,7 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
         return Interpolant(
             variant="scaled_line", lambda0=l0, x=xp, Z=Z,
             t=t, flipped=flipped, mode="line",
-            _lift=lambda lam: _times_diag(Z, lam),
+            _lift=_Bound((_times_diag, Z)),
         )
 
     if is_triangular(xs):
@@ -483,7 +557,7 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
         return Interpolant(
             variant="scaled_line", lambda0=l0, x=xp, Z=Z,
             t=t, flipped=flipped, mode="diag",
-            _lift=lambda lam: _per_point(lam) * Z,
+            _lift=_Bound((_times_point, Z)),
         )
 
     if margin <= EXTREMAL_RTOL * abs(l0):
@@ -498,18 +572,11 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
                 "SVD reduction denominator vanished with nonzero numerator")
         g0 = 0j if abs(den) < 1e-13 else -num / den
         scalar = scalar_np2(0.0, g0, l0, s, t)
-
-        def svd_lift(lam):
-            d = np.empty(np.shape(lam) + (2,), dtype=complex)
-            d[..., 0] = c
-            d[..., 1] = scalar(lam)
-            return _times_diag(_right_const(U * d[..., None, :], Vh), lam)
-
         return Interpolant(
             variant="svd_reduced", lambda0=l0, x=xp, Z=Z,
             scalar_g=scalar, t=t, flipped=flipped,
             _scalar_params=(0.0 + 0.0j, complex(g0), l0, complex(s), t),
-            _lift=svd_lift,
+            _lift=_Bound((_svd_lift, U, Vh, c, scalar)),
         )
 
     ws = SchwarzWorkspace.build(l0, xs)
@@ -608,11 +675,15 @@ def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,
     toward the boundary), and checks closure membership of phi(lambda), the
     Schur bound on the lift, both endpoint values and the zero first column
     of the lift at 0, from one batched lift at the samples and both nodes.
-    Deterministic given (seed, samples); samples < 1 raises BadSamples.
+    Deterministic given (seed, samples); samples < 1 raises BadSamples, and
+    a NaN, infinite or negative tol raises BadTolerance (tol = 0 is valid).
     """
     n = int(samples)
     if n < 1:
         raise BadSamples(f"the audit needs at least one sample, got {n}")
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:  # written so that a NaN fails
+        raise BadTolerance(f"tol must be finite and non-negative, got {tol}")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     radii = np.empty(n)
@@ -639,7 +710,7 @@ def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,
         and zero_column <= tol
     )
     return VerificationReport(
-        passed=passed, samples=n, seed=int(seed), tol=float(tol),
+        passed=passed, samples=n, seed=int(seed), tol=tol,
         endpoint_zero=endpoint_zero, endpoint_target=endpoint_target,
         margin_violation=worst_margin, lift_norm_excess=worst_norm,
         # evaluate is pi . lift_evaluate, so the two agree by construction

@@ -165,7 +165,15 @@ def smallest_singular_value(A) -> float:
 
 
 def _require_contraction(Z, note: str = "") -> None:
-    """Raise NormTooLarge unless op_norm(Z) < 1; a NaN norm fails too."""
+    """Raise NormTooLarge unless op_norm(Z) < 1; a NaN norm fails too.
+    Plain-complex :func:`_sv2`, within 6e-16 of op_norm on contractions,
+    passes a Z whose norm it puts below 1 - 2^-48; op_norm, which also
+    validates Z, decides every other case (and any overflow there)."""
+    try:
+        if _sv2(*Z.ravel().tolist())[0] < 1.0 - 2.0 ** -48:
+            return
+    except OverflowError:
+        pass
     n = op_norm(Z)
     if not n < 1.0:
         raise NormTooLarge(f"op_norm(Z) = {n:.6f} >= 1{note}")
@@ -181,24 +189,46 @@ def sqrt_psd(P) -> CMat2:
     """Hermitian square root of a PSD 2x2 matrix.
 
     Generic branch is the closed form
-    ``sqrt(P) = (P + sqrt(det P) I) / sqrt(trace P + 2 sqrt(det P))``;
-    when the denominator degenerates (P near zero) a spectral fallback is
-    used.  Raises :class:`NotPSD` if the symmetrised input has an eigenvalue
-    below -1e-10.
+    ``sqrt(P) = (P + sqrt(det P) I) / sqrt(trace P + 2 sqrt(det P))`` of
+    :func:`_root_scalars`; when the denominator degenerates (P near zero) a
+    spectral fallback is used.  Raises :class:`NotPSD` if the symmetrised
+    input has an eigenvalue below -1e-10.
     """
     H = herm_part(P)
-    tr, det, (lo, _) = _herm2_spectrum(H)
+    tr, det, (lo, _) = _herm2_spectrum(*_entries(H))
     if lo < -_PSD_TOL:
         raise NotPSD(f"matrix has eigenvalue {lo:.3e} < -{_PSD_TOL:.1e}")
-    sdet = math.sqrt(max(det, 0.0))
-    denom = tr + 2.0 * sdet
-    if denom < 1e-14:
+    sdet, t = _root_scalars(tr, det)
+    if t < 1e-7:
         # spectral fallback for matrices within rounding of zero
         w, V = np.linalg.eigh(H)
         w = np.clip(w, 0.0, None)
         return (V * np.sqrt(w)) @ V.conj().T
-    S = (H + sdet * _I2) / math.sqrt(denom)
+    S = (H + sdet * _I2) / t
     return herm_part(S)
+
+
+def _root_scalars(tr: float, det: float) -> tuple[float, float]:
+    """s = sqrt(det P) and t = sqrt(tr P + 2 s) of a PSD 2x2 P, whose square
+    root is then (P + s I)/t."""
+    s = math.sqrt(max(det, 0.0))
+    return s, math.sqrt(max(tr + 2.0 * s, 0.0))
+
+
+def _isqrt_times(p11: float, p12: complex, p22: float, det: float, x1, x2):
+    """P^{-1/2} (x1, x2) for the positive definite P = [[p11, p12],
+    [conj p12, p22]] of determinant det, in plain scalar arithmetic: with
+    R = P + s I = t P^{1/2} (:func:`_root_scalars`), P^{-1/2} = t adj(R)/det R,
+    det R (= s t^2) taken from R's entries as inv2(sqrt_psd(P)) takes it."""
+    s, t = _root_scalars(p11 + p22, det)
+    r11, r22 = p11 + s, p22 + s
+    d = (r11 * r22 - _abs2(p12)) / t
+    return (r22 * x1 - p12 * x2) / d, (r11 * x2 - p12.conjugate() * x1) / d
+
+
+def _abs2(z: complex) -> float:
+    """|z|^2 of a complex scalar, without the square root of abs."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def inv2(A) -> CMat2:
@@ -226,15 +256,9 @@ def mobius_matricial(Z, X) -> CMat2:
     """
     Zm, Xm = as_cmat2(Z), as_cmat2(X)
     _require_contraction(Zm)
-    isqrt_w, sqrt_y = _defect_factors(Zm)
-    return isqrt_w @ (Xm - Zm) @ inv2(_I2 - Zm.conj().T @ Xm) @ sqrt_y
-
-
-def _defect_factors(Z) -> tuple[CMat2, CMat2]:
-    """The factors (1 - Z Z*)^{-1/2} and (1 - Z* Z)^{1/2} of M_Z, for
-    op_norm(Z) < 1; they are the same for -Z."""
-    Zs = Z.conj().T
-    return inv2(sqrt_psd(_I2 - Z @ Zs)), sqrt_psd(_I2 - Zs @ Z)
+    Zs = Zm.conj().T
+    isqrt_w = inv2(sqrt_psd(_I2 - Zm @ Zs))
+    return isqrt_w @ (Xm - Zm) @ inv2(_I2 - Zs @ Xm) @ sqrt_psd(_I2 - Zs @ Zm)
 
 
 def _right_const(G, C):
@@ -254,11 +278,11 @@ def pi_map(A) -> tuple:
     return x
 
 
-def _herm2_spectrum(H):
-    """(trace, determinant, (eigenvalues ascending)) of a Hermitian 2x2 H;
-    the eigenvalues are tr/2 -+ hypot((h11 - h22)/2, |h12|), the q of
-    :func:`_sv2` at phi = 1."""
-    h11, h12, h21, h22 = (complex(h) for h in _entries(H))
+def _herm2_spectrum(h11, h12, h21, h22):
+    """(trace, determinant, (eigenvalues ascending)) of the Hermitian 2x2
+    [[h11, h12], [h21, h22]]; the eigenvalues are tr/2 -+ hypot((h11 -
+    h22)/2, |h12|), the q of :func:`_sv2` at phi = 1."""
+    h11, h12, h21, h22 = complex(h11), complex(h12), complex(h21), complex(h22)
     tr = h11.real + h22.real
     det = (h11 * h22 - h12 * h21).real
     q = _halves(h11, h12, h21, h22, 1.0)[1]
@@ -267,7 +291,7 @@ def _herm2_spectrum(H):
 
 def eigvals_herm2(H) -> tuple[float, float]:
     """Eigenvalues (ascending) of a 2x2 Hermitian matrix, closed form."""
-    return _herm2_spectrum(herm_part(H))[2]
+    return _herm2_spectrum(*_entries(herm_part(H)))[2]
 
 
 def principal_sqrt(z) -> complex:

@@ -10,8 +10,10 @@ import pytest
 from tetra import cli
 from tetra.autgroup import DiscAut
 from tetra.cli import run
-from tetra.errors import BadPayload, BadSamples, NonFinite, NotUnimodular, TetraError
-from tetra.interpolate import Interpolant
+from tetra.errors import (
+    BadPayload, BadSamples, BadTolerance, NonFinite, NotUnimodular, TetraError,
+)
+from tetra.interpolate import Interpolant, solve_schwarz, verify_interpolant
 from tetra.tetrablock import as_cpoint3, membership_grid_oracle
 
 from test_readme_examples import run_examples
@@ -334,6 +336,25 @@ def test_audit_needs_a_sample(tmp_path, capsys, samples):
         assert error["error"]["type"] == "BadSamples"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_audit_needs_a_finite_non_negative_tol(tmp_path, capsys, tol):
+    doc = check(
+        capsys, "interp", "interp", "--lambda0", "[-0.9, 0]",
+        "--point", "[0.5, 0.25, 0.5]", "--samples", "40",
+    )
+    payload_file = tmp_path / "phi.json"
+    payload_file.write_text(json.dumps(doc))
+    for argv in (
+        ("interp", "--lambda0", "[-0.9, 0]", "--point", "[0.5, 0.25, 0.5]"),
+        ("verify", "--interpolant", str(payload_file)),
+    ):
+        rc, out, err = invoke(capsys, "--tol", tol, *argv, "--samples", "40")
+        assert rc == 1 and out == ""
+        error = json.loads(err)
+        jsonschema.validate(error, SCHEMAS["error"])
+        assert error["error"]["type"] == "BadTolerance"
+
+
 def test_mu_overflow_is_one_json_error():
     # pi(A) of this finite matrix overflows; the error names that, and no
     # numpy warning precedes it on stderr
@@ -387,6 +408,7 @@ def test_malformed_values_raise_typed_value_errors(capsys):
         (NotUnimodular, lambda: DiscAut(2.0, 0.0)),
         (BadSamples, lambda: membership_grid_oracle((0.0, 0.0, 0.0), n=1)),
         (BadPayload, lambda: Interpolant.from_payload([1, 2])),
+        (BadTolerance, lambda: verify_interpolant(solve_schwarz(-0.9, (0.5, 0.25, 0.5)), tol=-1.0)),
     )
     for cls, call in cases:
         assert issubclass(cls, TetraError) and issubclass(cls, ValueError)

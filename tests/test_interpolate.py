@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tetra
+import tetra.interpolate
+import tetra.linalg
 from tetra.errors import (
     BadLambda,
     BadShape,
+    BadTolerance,
     Extremal,
     Infeasible,
     InfeasiblePick,
@@ -39,7 +43,7 @@ from tetra.linalg import eigvals_herm2, mat2, mobius_matricial, op_norm, pi_map
 from tetra.metrics import pseudohyperbolic
 from tetra.cli import run
 from tetra.musyn import SynthesisInstance, mu_diag, synth_two_point
-from tetra.tetrablock import construct_matrix_rep, criterion_max, membership
+from tetra.tetrablock import construct_matrix_rep, criterion_max, is_triangular, membership
 
 from conftest import random_disc, random_feasible_instance, random_point_in_e
 from test_distance_oracle import c_T
@@ -156,6 +160,58 @@ def test_choose_alpha_properties():
         choose_alpha(np.eye(2))
 
 
+def choose_alpha_by_eigh(M):
+    """choose_alpha's definition through LAPACK: eigh's eigenvector for the
+    least eigenvalue, its first entry above 1e-12 turned positive real."""
+    _, evecs = np.linalg.eigh((M + M.conj().T) / 2.0)
+    a = evecs[:, 0].astype(complex)
+    c = next(c for c in a if abs(c) > 1e-12)
+    return a * (c.conjugate() / abs(c))
+
+
+def test_choose_alpha_matches_eigh(rng):
+    # random Hermitian M shifted so that the least eigenvalue is -d, d in
+    # [0, 1], with eigenvalue gaps of 1e-3 and above.  Over 40 seeds x 1000
+    # M of each kind the worst distance from eigh's vector was 6.7e-16
+    # (real), 7.2e-16 (complex) and 0 (diagonal); the bound is 2e-15.
+    for kind in ("real", "complex", "diagonal"):
+        for _ in range(300):
+            G = rng.standard_normal((2, 2))
+            if kind == "complex":
+                G = G + 1j * rng.standard_normal((2, 2))
+            H = G + G.conj().T
+            if kind == "diagonal":
+                H = np.diag(np.diag(H))
+            lo, hi = np.linalg.eigvalsh(H)
+            if hi - lo < 1e-3:
+                continue
+            M = H - (lo + rng.uniform()) * np.eye(2)
+            ref = choose_alpha_by_eigh(M)
+            al = choose_alpha(M)
+            assert al.shape == (2,) and al.dtype == complex
+            assert np.max(np.abs(al - ref)) <= 2e-15, kind
+            if kind != "complex":
+                assert not al.imag.any()
+            if kind == "diagonal":
+                assert al.tolist() in ([1, 0], [0, 1])
+
+
+def test_choose_alpha_on_a_repeated_eigenvalue():
+    # M = c I: every vector is an eigenvector, and e1 is the one returned
+    for c in (0.0, -0.5, 1e-9, -3.0):
+        al = choose_alpha(c * np.eye(2))
+        assert al.tolist() == [1, 0]
+        assert np.vdot(al, c * np.eye(2) @ al).real == c
+    # within rounding of c I the Rayleigh quotient is still the least eigenvalue
+    for eps in (1e-17, 1e-15):
+        M = np.array([[-0.5, eps * 1j], [-eps * 1j, -0.5 + eps]])
+        al = choose_alpha(M)
+        assert abs(np.linalg.norm(al) - 1.0) <= 4e-16
+        assert abs(np.vdot(al, M @ al).real - np.linalg.eigvalsh(M)[0]) <= 4e-16
+    with pytest.raises(PositiveDefinite):
+        choose_alpha(2e-9 * np.eye(2))
+
+
 def test_uv_vectors_guards():
     Z = mat2(0.5, 0, 0, 0.5)
     with pytest.raises(ZeroAlpha):
@@ -261,6 +317,105 @@ def test_golden_z_spectrum():
     assert hi == pytest.approx(0.625, abs=1e-10)
 
 
+def workspace_targets(rng, per=4):
+    """(rel, lambda0, x, sigma) at relative feasibility margins rel = 1e-2,
+    1e-5 and 1e-8, |lambda0| = criterion_max(x) / (1 - rel): per Moebius
+    targets (sigma = 1) and per sigma-family ones, sigma^2 = xi2^(1/4) or
+    xi1^(1/4) in turn, at each margin."""
+    out = []
+    for rel in (1e-2, 1e-5, 1e-8):
+        for k in range(2 * per):
+            while True:
+                x = random_point_in_e(rng, hi=0.85)
+                if abs(x[0]) < abs(x[1]):
+                    x = (x[1], x[0], x[2])
+                l0 = criterion_max(x) / (1.0 - rel) * cmath.exp(2j * math.pi * rng.uniform())
+                if abs(l0) < 0.999 and not is_triangular(x):
+                    break
+            sigma = 1.0
+            if k >= per:
+                par = all_solutions_params(l0, x)
+                sigma = math.sqrt((par.xi2 if k % 2 else par.xi1) ** 0.25)
+            out.append((rel, l0, x, sigma))
+    return out
+
+
+def workspace_by_definition(mp, Z, lambda0, alpha):
+    """M(rho) of Z at rho = |lambda0|, its alpha (choose_alpha's unit
+    eigenvector and phase rule) and u, v at the given alpha, each from its
+    definition in mpmath (matrix inverses, eigh and sqrtm) at mp's working
+    precision."""
+    Z = mp.matrix(Z.tolist())
+    I, Zs = mp.eye(2), Z.H
+    Y, W = I - Zs * Z, I - Z * Zs
+    r2 = abs(mp.mpmathify(lambda0)) ** 2
+    M = mp.matrix(2, 2)
+    M[0, 0] = ((I - r2 * Zs * Z) * mp.inverse(Y))[0, 0]
+    M[1, 1] = ((Z * Zs - r2 * I) * mp.inverse(W))[1, 1]
+    M[0, 1] = ((1 - r2) * Zs * mp.inverse(W))[0, 1]
+    M[1, 0] = ((1 - r2) * mp.inverse(W) * Z)[1, 0]
+    M = (M + M.H) / 2
+    evals, Q = mp.eigh(M)
+    k = 0 if evals[0] <= evals[1] else 1
+    a = [Q[0, k], Q[1, k]]
+    c = a[0] if abs(a[0]) > 1e-12 else a[1]
+    a1, a2 = (mp.mpmathify(e) for e in alpha)
+    g = mp.matrix([a1 * Z[0, 0], a1 * Z[1, 0] + a2])
+    h = mp.matrix([a1 + a2 * mp.conj(Z[1, 0]), a2 * mp.conj(Z[1, 1])])
+    u = mp.inverse(mp.sqrtm(W)) * g
+    v = -(mp.inverse(mp.sqrtm(Y)) * h)
+    return {
+        "M": [M[i, j] for i in (0, 1) for j in (0, 1)],
+        "alpha": [e * mp.conj(c) / abs(c) for e in a], "u": list(u), "v": list(v),
+        "least": min(evals),
+    }
+
+
+def relative_error(mp, got, exact):
+    """max |got - exact| / max |exact| over the entries."""
+    err = max(abs(mp.mpmathify(g) - e) for g, e in zip(np.ravel(got).tolist(), exact))
+    return float(err / max(abs(e) for e in exact))
+
+
+# 4 x the worst relative error of SchwarzWorkspace.build against
+# workspace_by_definition at 40 digits, measured over 100 seeds of
+# workspace_targets (400 Moebius and 400 sigma targets per margin):
+# M 9.8e-15, 9.7e-12, 8.9e-9; alpha 2.7e-15, 2.7e-12, 2.8e-9; u 1.3e-15,
+# 6.2e-14, 1.8e-12; v 1.8e-13, 3.4e-12, 5.0e-11 at margins 1e-2, 1e-5, 1e-8
+WORKSPACE_TOL = {
+    1e-2: {"M": 4e-14, "alpha": 1.1e-14, "u": 5.2e-15, "v": 7.4e-13},
+    1e-5: {"M": 3.9e-11, "alpha": 1.1e-11, "u": 2.5e-13, "v": 1.4e-11},
+    1e-8: {"M": 3.6e-8, "alpha": 1.2e-8, "u": 7.2e-12, "v": 2.1e-10},
+}
+
+
+def test_workspace_matches_its_definition_in_40_digits(rng):
+    """SchwarzWorkspace's M, alpha, u and v, computed in double-precision
+    closed forms, against their definitions in 40-digit arithmetic, at the
+    tolerances of WORKSPACE_TOL; M's error grows about as eps / margin.  At
+    margin 1e-8 a sigma target can raise PositiveDefinite (23 of the 400
+    measured): M's least eigenvalue is then within M's own rounding (at
+    most 1.4e-9 of its norm measured), so the sign the closed form reads is
+    noise; for those the test checks big_m and that bound."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for rel, l0, x, sigma in workspace_targets(rng):
+            tol = WORKSPACE_TOL[rel]
+            try:
+                ws = SchwarzWorkspace.build(l0, x, sigma=sigma)
+            except PositiveDefinite:
+                assert rel == 1e-8 and sigma != 1.0
+                Z = family_z(l0, x, sigma)
+                ref = workspace_by_definition(mpmath.mp, Z, l0, (1.0, 0.0))
+                assert relative_error(mpmath.mp, big_m(Z, abs(l0)), ref["M"]) <= tol["M"]
+                assert -tol["M"] <= ref["least"] / max(abs(e) for e in ref["M"]) <= 0
+                continue
+            ref = workspace_by_definition(mpmath.mp, ws.Z, l0, ws.alpha.tolist())
+            for name in ("M", "alpha", "u", "v"):
+                assert relative_error(mpmath.mp, getattr(ws, name), ref[name]) <= tol[name], (
+                    rel, sigma, name)
+
+
 def test_workspace_build_requires_strict_interior():
     ws = SchwarzWorkspace.build(-0.9, GOLD_X)
     assert op_norm(ws.Z) < 1.0
@@ -273,6 +428,35 @@ def test_workspace_build_needs_a_finite_positive_sigma():
     for sigma in (0.0, -0.0, -1.0, math.nan, math.inf):
         with pytest.raises(SigmaOutOfRange):
             SchwarzWorkspace.build(-0.9, GOLD_X, sigma=sigma)
+
+
+def test_moebius_and_sigma_solves_call_no_lapack_sqrt_psd_or_inv2(monkeypatch):
+    # the workspace and the pencil are scalar closed forms: with numpy.linalg,
+    # sqrt_psd and inv2 all raising, both solvers and the lift still run
+    sigma = math.sqrt(all_solutions_params(-0.9, GOLD_X).xi2) * 0.9
+
+    class NoLinalg:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.linalg.{name} reached")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sqrt_psd or inv2 reached")
+
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    for module in (tetra.linalg, tetra.interpolate, tetra):
+        for name in ("sqrt_psd", "inv2"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    phis = [
+        solve_schwarz(-0.9, GOLD_X),
+        solve_schwarz(-0.9, (0.25, 0.5, 0.5)),
+        solve_with_sigma(-0.9, GOLD_X, sigma),
+    ]
+    assert [(p.variant, p.flipped) for p in phis] == [
+        ("mobius_blaschke", False), ("mobius_blaschke", True), ("sigma_family", False),
+    ]
+    for phi in phis:
+        assert phi.lift_evaluate(np.array([0.0, 0.3j, phi.lambda0])).shape == (3, 2, 2)
 
 
 def test_solve_schwarz_extremal_golden():
@@ -432,6 +616,20 @@ def test_verify_interpolant_passes_and_reports(rng):
     assert d["endpoint_zero"] < 1e-9 and d["endpoint_target"] < 1e-9
     assert d["margin_violation"] == 0.0
     assert d["lift_norm_excess"] <= 1e-9
+
+
+def test_verify_interpolant_needs_a_finite_non_negative_tol():
+    phi = solve_schwarz(-0.9, GOLD_X)
+    for tol in (math.nan, math.inf, -math.inf, -1e-300):
+        with pytest.raises(BadTolerance):
+            verify_interpolant(phi, samples=8, tol=tol)
+    assert issubclass(BadTolerance, ValueError)
+    # zero is a valid tolerance: every residual must vanish exactly
+    rep = verify_interpolant(phi, samples=8, tol=0.0)
+    assert rep.tol == 0.0 and rep.passed == (
+        max(rep.endpoint_zero, rep.endpoint_target, rep.margin_violation,
+            rep.lift_norm_excess, rep.zero_column) == 0.0
+    )
 
 
 def test_verify_interpolant_mu_bound(rng):

@@ -8,6 +8,7 @@ from tetra.interpolate import big_m
 from tetra.linalg import (
     _cdiv,
     _cmul,
+    _require_contraction,
     as_cmat2,
     eigvals_herm2,
     herm_part,
@@ -241,3 +242,26 @@ def test_contraction_checks_reject_an_overflowing_norm():
     # a misleading BadShape
     with pytest.raises(NormTooLarge):
         big_m(np.full((2, 2), 1e200), 0.5)
+
+
+def test_contraction_check_gives_op_norms_verdict(rng):
+    # the check tries plain-complex _sv2 first and leaves all but a clear
+    # pass to op_norm: one verdict within a few ulps of norm 1 and at the
+    # fast path's 1 - 2^-48 edge, and the same errors for overflowing or
+    # non-finite entries
+    for _ in range(3000):
+        A = random_mat(rng)
+        edge = 1.0 - 2.0 ** -48 if rng.uniform() < 0.5 else 1.0
+        A *= (edge + rng.integers(-8, 9) * 2.0 ** -53) / op_norm(A)
+        try:
+            _require_contraction(A)
+            passed = True
+        except NormTooLarge:
+            passed = False
+        assert passed == (op_norm(A) < 1.0)
+    with pytest.raises(NormTooLarge):
+        _require_contraction(mat2(1e308 + 1e308j, 0, 0, 0))  # abs overflows
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadShape):
+            _require_contraction(mat2(bad, 0, 0, 0))
+    _require_contraction(mat2(1e-300, 1e-300j, 0, 1e-310))

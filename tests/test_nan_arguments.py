@@ -1,16 +1,19 @@
 """A NaN argument raises the typed error its range check names.
 
 Each check below is written as ``not abs(z) < 1.0`` (or ``<=``), so that a
-NaN fails it, rather than as ``abs(z) >= 1.0``, which a NaN passes.
+NaN fails it, rather than as ``abs(z) >= 1.0``, which a NaN passes; a disc
+automorphism and ``psi`` reject a non-finite argument outright.
 """
 import math
 
 import numpy as np
 import pytest
 
-from tetra.autgroup import pseudohyperbolic, schwarz_pick_triangular
-from tetra.errors import BadBeta, BadLambda, BadShape, InfeasiblePick, NonFinite, OutsideDisc
-from tetra.interpolate import scalar_np2, solve_schwarz
+from tetra.autgroup import DiscAut, pseudohyperbolic, schwarz_pick_triangular
+from tetra.errors import (
+    BadBeta, BadLambda, BadShape, BadTolerance, InfeasiblePick, NonFinite, OutsideDisc,
+)
+from tetra.interpolate import scalar_np2, solve_schwarz, verify_interpolant
 from tetra.musyn import bft_lower_bound, synth_two_point_general
 from tetra.tetrablock import GeodesicDisc, geodesic_eval, psi, upsilon_fn
 
@@ -40,6 +43,9 @@ CASES = [
     (lambda: upsilon_fn(NAN, X), NonFinite),
     (lambda: PHI.lift_evaluate(NAN), OutsideDisc),
     (lambda: PHI.evaluate(np.array([0.1, NAN, 0.2])), OutsideDisc),
+    (lambda: DiscAut(1.0, 0.5)(NAN), NonFinite),
+    (lambda: DiscAut(1.0, 0.5)(complex(0.2, math.inf)), NonFinite),
+    (lambda: verify_interpolant(PHI, samples=4, tol=NAN), BadTolerance),
 ]
 
 

@@ -24,6 +24,7 @@ from tetra.musyn import (
     bft_lower_bound,
     mu_diag,
     synth_two_point,
+    synth_two_point_general,
 )
 from tetra.tetrablock import criterion_max, membership
 
@@ -228,3 +229,35 @@ def test_extremal_interpolants_are_geodesics(rng):
             c = c_T(phi.evaluate(l1), phi.evaluate(l2))
             assert abs(c - pseudohyperbolic(l1, l2)) <= 1e-13
         checked += 1
+
+
+def test_the_distance_bound_rules_out_two_point_synthesis(rng):
+    """For a solution F of F(l1) = A, F(l2) = B with mu(F) <= 1, each slice
+    Psi(w, .) o pi o F (|w| = 1) is a disc self-map, so c_T(pi(A), pi(B)) is
+    at most rho(l1, l2): where c_T exceeds rho, synth_two_point_general must
+    answer infeasible.  At a triangular base point c_T is also the criterion's
+    own left side, so where c_T is below rho it must answer feasible.  The
+    nodes are placed at rho = c_T times a factor in (0.5, 1.5).  Left out is
+    the band from rho - 4e-15 to rho + 1e-12 + 4e-15: the criterion allows
+    1e-12, and 4e-15 is 4 times the worst |c_T - lhs| measured on these
+    draws, 8.9e-16 over 2000 pairs (40 seeds)."""
+    ruled_out = 0
+    for k in range(60):
+        while True:
+            A = random_contraction(rng, hi=0.9)
+            A[(1, 0) if k % 2 else (0, 1)] = 0.0
+            if membership(pi_map(A)).in_set:
+                break
+        B = random_contraction(rng, hi=0.95)
+        c = c_T(pi_map(A), pi_map(B))
+        l1 = random_disc(rng, 0.8)
+        r = min(c * rng.uniform(0.5, 1.5), 0.999) * cmath.exp(2j * math.pi * rng.uniform())
+        l2 = (l1 + r) / (1.0 + l1.conjugate() * r)
+        rho = pseudohyperbolic(l1, l2)
+        feasible = synth_two_point_general(l1, l2, A, B)
+        if c > rho + 1e-12 + 4e-15:
+            assert not feasible
+            ruled_out += 1
+        elif c < rho - 4e-15:
+            assert feasible
+    assert ruled_out >= 20, ruled_out

@@ -23,6 +23,7 @@ endpoint residuals are recomputed from scratch by ``verify_interpolant``.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -38,6 +39,7 @@ from .errors import (
     Extremal,
     Infeasible,
     InfeasiblePick,
+    NormTooLarge,
     NumericalDegenerate,
     OutsideDisc,
     PositiveDefinite,
@@ -243,6 +245,8 @@ class SchwarzWorkspace:
         a, b, p = as_cpoint3(x)
         w = principal_sqrt((a * b - p) / l0)
         z = [a / l0, sigma * w, w / sigma, b]
+        if not all(map(cmath.isfinite, z)):  # overflow: x and lambda0 are finite
+            raise NormTooLarge("op_norm(Z) overflows: not strictly interior")
         Z = mat2(*z)
         _require_contraction(Z, ": not strictly interior")
         Y, W = _defects(z)

@@ -15,7 +15,8 @@ does not vanish for |z| <= 1, |w| <= 1; equivalently the image of the open
 
 Scalars are kept in plain ``complex`` arithmetic.  Membership is on hot paths
 (bisection loops, scans of scattered points): each call validates its point
-once, computes its quotients once and builds one report, a named tuple.
+once, computes its moduli, margins and quotients once, decides c2-c9 in one
+straight-line pass for its mode and builds one report, a named tuple.
 """
 from __future__ import annotations
 
@@ -59,7 +60,13 @@ def as_cpoint3(x) -> CPoint3:
 def is_triangular(x) -> bool:
     """True when |x1*x2 - x3| <= 1e-10 (1 + |x1*x2| + |x3|), a scale-aware
     x1*x2 == x3 (matrix representatives are then triangular)."""
-    return _quotients(*as_cpoint3(x))[2]
+    return _tri(*as_cpoint3(x))
+
+
+def _tri(x1, x2, x3) -> bool:
+    """:func:`is_triangular` at a validated point."""
+    p = x1 * x2
+    return abs(p - x3) <= 1e-10 * (1.0 + abs(p) + abs(x3))
 
 
 def psi(z, x) -> complex:
@@ -72,7 +79,7 @@ def psi(z, x) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise NonFinite(f"z must be finite, got {z}")
-    if _quotients(x1, x2, x3)[2]:
+    if _tri(x1, x2, x3):
         return x1
     den = x2 * z - 1.0
     if abs(den) < 1e-14:
@@ -173,17 +180,14 @@ def _margins(x1, x2, x3):
 
 def _quotients(x1, x2, x3):
     """``(moduli, margins, triangular, D(x), D(x2, x1, x3))`` at a validated
-    point: :func:`_margins`, and the rest from its moduli (see :func:`d_of`)."""
+    point: :func:`_margins`, :func:`_tri` and the two quotients of
+    :func:`d_of`."""
     mods, margins = _margins(x1, x2, x3)
-    a1, a2, a3, cr12, cr21, crd = mods
-    tri = crd <= 1e-10 * (1.0 + abs(x1 * x2) + a3)
-
-    def d(num, a_den, a_tri):
-        if a_den < 1.0:
-            return num / (1.0 - a_den ** 2)
-        return a_tri if tri else math.inf
-
-    return mods, margins, tri, d(cr12 + crd, a2, a1), d(cr21 + crd, a1, a2)
+    a1, a2, _, cr12, cr21, crd = mods
+    tri = _tri(x1, x2, x3)
+    d = (cr12 + crd) / (1.0 - a2 ** 2) if a2 < 1.0 else a1 if tri else math.inf
+    dflip = (cr21 + crd) / (1.0 - a1 ** 2) if a1 < 1.0 else a2 if tri else math.inf
+    return mods, margins, tri, d, dflip
 
 
 def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -203,66 +207,54 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     inequalities alone admit far-exterior false positives such as
     (0.9, 0.9, 1.62).  These bounds hold automatically on the closure, so
     adjoining them changes no verdict inside.
+
+    Most margins are first order in the distance to the boundary; two are
+    second order on one face each, so that a dilation by 1 -+ 1e-9 moves
+    them by about 1e-18 and rounding decides them there.  At pi(sU), U
+    unitary (the distinguished boundary), m5 = (1 - s^2)^2; at s (x1, x2,
+    x1 x2) with |x1| = 1 > |x2| (a triangular face), m4p = (1 - s)^2 (1 -
+    s^2 |x2|^2), and m4 likewise with x1 and x2 exchanged.  In open mode at
+    s = 1 - 1e-9, c5 and c4 read "outside" on about two in three such
+    points.  c3 and c7 are first order on every face, and ``in_set`` is c3.
     """
     return _report(*as_cpoint3(x), closed, tol)
 
 
 def _report(x1, x2, x3, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
-    """:func:`membership` at a validated point."""
-    (a1, a2, a3, cr12, cr21, crd), (m3, m3p, m4, m4p, m5, m6), tri, dval, dflip = (
+    """:func:`membership` at a validated point, in one pass per mode."""
+    (a1, a2, a3, cr12, cr21, _), (m3, m3p, m4, m4p, m5, m6), tri, dval, dflip = (
         _quotients(x1, x2, x3)
     )
+    norm = _sv2(*_sym_rep_entries(x1, x2, x3))[0]
 
+    # the bounds on a1, a2 and a3 make the quadratic criteria decisive on
+    # all of C^3 (see membership); each is implied by membership itself
     if closed:
-        def ok(margin):
-            return margin >= -tol
-
-        def lt1(v):
-            return v <= 1.0 + tol
-    else:
-        def ok(margin):
-            return margin > 0.0
-
-        def lt1(v):
-            return v < 1.0
-
-    c2 = lt1(dval) and lt1(dflip) and (not tri or (lt1(a1) and lt1(a2)))
-
-    c3 = ok(m3) and (not closed or not tri or lt1(a1))
-    c3p = ok(m3p) and (not closed or not tri or lt1(a2))
-    c3 = c3 and c3p
-
-    # the coordinate bounds below make the quadratic criteria decisive on all
-    # of C^3 (see membership); each is implied by membership itself
-    c4 = ok(m4) and lt1(a2)
-    c4p = ok(m4p) and lt1(a1)
-    c4 = c4 and c4p
-
-    sum12 = a1 + a2
-    c5 = ok(m5) and lt1(a3) and (
-        not tri or (sum12 <= 2.0 + tol if closed else sum12 < 2.0)
-    )
-
-    c6 = ok(m6)
-    if closed and abs(a3 - 1.0) <= tol:
-        c6 = c6 and lt1(a1)
-
-    c7 = lt1(_sv2(*_sym_rep_entries(x1, x2, x3))[0])
-
-    if closed:
+        one, lo = 1.0 + tol, -tol
+        c2 = dval <= one and dflip <= one and (not tri or (a1 <= one and a2 <= one))
+        c3 = m3 >= lo and m3p >= lo and (not tri or (a1 <= one and a2 <= one))
+        c4 = m4 >= lo and a2 <= one and m4p >= lo and a1 <= one
+        c5 = m5 >= lo and a3 <= one and (not tri or a1 + a2 <= 2.0 + tol)
+        c6 = m6 >= lo and (not abs(a3 - 1.0) <= tol or a1 <= one)
+        c7 = norm <= one
         if 1.0 - a3 > tol:
-            bsum = (cr12 + cr21) / (1.0 - a3 * a3)
-            c9 = bsum <= 1.0 + tol
-        elif a3 <= 1.0 + tol:
+            c9 = (cr12 + cr21) / (1.0 - a3 * a3) <= one
+        elif a3 <= one:
             # on |x3| = 1 the disc parametrisation degenerates; the closure
             # meets that torus level exactly along x1 = conj(x2) x3, |x2| <= 1
-            c9 = cr12 <= tol and lt1(a2)
+            c9 = cr12 <= tol and a2 <= one
         else:
             c9 = False
     else:
+        c2 = dval < 1.0 and dflip < 1.0 and (not tri or (a1 < 1.0 and a2 < 1.0))
+        c3 = m3 > 0.0 and m3p > 0.0
+        c4 = m4 > 0.0 and a2 < 1.0 and m4p > 0.0 and a1 < 1.0
+        c5 = m5 > 0.0 and a3 < 1.0 and (not tri or a1 + a2 < 2.0)
+        c6 = m6 > 0.0
+        c7 = norm < 1.0
         # |x3| < 1 and |beta1| + |beta2| < 1; clearing the positive
         # denominator 1 - |x3|^2 this is exactly the criterion-(6) inequality
-        c9 = a3 < 1.0 and m6 > 0.0
+        c9 = a3 < 1.0 and c6
 
     return MembershipReport(
         c3, c3, c2, c3, c4, c5, c6, c7, c7, c9,
@@ -400,7 +392,7 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
     if not in_distinguished_boundary((x1, x2, x3), tol=tol):
         raise NotPeak("the point is not on the distinguished boundary")
 
-    if _quotients(x1, x2, x3)[2]:
+    if _tri(x1, x2, x3):
         c1, c2, c3 = x1.conjugate(), x2.conjugate(), x3.conjugate()
 
         def g_tri(y) -> complex:

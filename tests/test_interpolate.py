@@ -227,6 +227,14 @@ def test_uv_vectors_needs_two_entries():
             uv_vectors(Z, alpha)
 
 
+def test_workspace_of_a_far_exterior_point_is_not_interior():
+    # finite data whose w or Z overflows: a norm question, not a bad matrix
+    for x, sigma in (((1e200, 1e200, 0.0), 1.0), ((1e200 + 1e200j, 1e200, 0.0), 1.0),
+                     ((1e155, 1e155, 0.0), 1.0), ((0.5, 0.25, 0.0), 1e-310)):
+        with pytest.raises(NormTooLarge, match="not strictly interior"):
+            SchwarzWorkspace.build(0.5, x, sigma=sigma)
+
+
 # --- scalar two-point problem ----------------------------------------------
 
 def test_scalar_np2_golden_reduction():

@@ -195,6 +195,37 @@ def test_point_functions_match_the_closure_based_code():
                 dist_from_origin(x)
 
 
+def scattered_points(n=20000):
+    """Seeded points off the faces: the images of random matrices with norms
+    log-uniform in 0.05..2, so |x1| and |x2| fill (0, 2) and D takes its
+    quotient branch on most of them."""
+    rng = np.random.default_rng(2024)
+    G = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    G *= (np.exp(rng.uniform(math.log(0.05), math.log(2.0), n))
+          / np.linalg.norm(G, 2, axis=(1, 2)))[:, None, None]
+    return [_pi(A) for A in G]
+
+
+def test_quotients_match_the_transcription_bit_for_bit():
+    # every float of the two quotients, through each function that returns
+    # one: rounding a single operation differently (a2 * a2 for a2 ** 2,
+    # say, which differ on about one float in a thousand) moves some of them
+    points = scattered_points()
+    branches = set()
+    for x in points:
+        _, _, _, d, dflip = reference_quotients(*reference_point(x))
+        cm = max(d, dflip)
+        want = (d, cm, math.atanh(cm) if cm < 1.0 else None, d)
+        got = (d_of(x), criterion_max(x), dist_from_origin(x) if cm < 1.0 else None,
+               membership(x).d_value)
+        same_bits(got, want)
+        branches.add((abs(x[1]) < 1.0, abs(x[0]) < 1.0, cm < 1.0))
+    # (|x2| < 1, |x1| < 1, max < 1): each quotient takes each branch, and the
+    # maximum falls on both sides of 1 wherever it can
+    assert branches == {(True, True, True), (True, True, False), (True, False, False),
+                        (False, True, False), (False, False, False)}
+
+
 def test_report_is_an_immutable_named_tuple():
     rep = membership((0.5, 0.25, 0.5))
     assert MembershipReport._fields == FIELDS

@@ -2,7 +2,9 @@
 
 Each check below is written as ``not abs(z) < 1.0`` (or ``<=``), so that a
 NaN fails it, rather than as ``abs(z) >= 1.0``, which a NaN passes; a disc
-automorphism and ``psi`` reject a non-finite argument outright.
+automorphism and ``psi`` reject a non-finite argument outright, and so does
+every point function of ``tetrablock``, which validates its point once
+before it computes anything.
 """
 import math
 
@@ -15,7 +17,10 @@ from tetra.errors import (
 )
 from tetra.interpolate import scalar_np2, solve_schwarz, verify_interpolant
 from tetra.musyn import bft_lower_bound, synth_two_point_general
-from tetra.tetrablock import GeodesicDisc, geodesic_eval, psi, upsilon_fn
+from tetra.tetrablock import (
+    GeodesicDisc, criterion_max, d_of, geodesic_eval, in_distinguished_boundary,
+    is_triangular, membership, psi, upsilon_fn,
+)
 
 NAN = math.nan
 X = (0.5, 0.25, 0.5)
@@ -46,6 +51,12 @@ CASES = [
     (lambda: DiscAut(1.0, 0.5)(NAN), NonFinite),
     (lambda: DiscAut(1.0, 0.5)(complex(0.2, math.inf)), NonFinite),
     (lambda: verify_interpolant(PHI, samples=4, tol=NAN), BadTolerance),
+    (lambda: membership((NAN, 0.25, 0.5)), NonFinite),
+    (lambda: membership((0.5, complex(0.25, math.inf), 0.5), closed=True), NonFinite),
+    (lambda: is_triangular((0.3, 0.2, NAN)), NonFinite),
+    (lambda: d_of((0.5, math.inf, 0.5)), NonFinite),
+    (lambda: criterion_max((0.5, 0.25, complex(NAN, 0.1))), NonFinite),
+    (lambda: in_distinguished_boundary((-math.inf, 0.25, 0.5)), NonFinite),
 ]
 
 

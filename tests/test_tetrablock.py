@@ -279,6 +279,19 @@ def test_distinguished_boundary_passes_every_closed_criterion():
         assert all(membership(x, closed=True).verdicts()), x
 
 
+@pytest.mark.parametrize("s", [1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6])
+def test_c3_decides_dilations_of_the_distinguished_boundary(s):
+    # pi(sU) is in E and in its closure exactly when s < 1.  c3's margins,
+    # (1 - s^2)(1 - s|u11|), are first order in s - 1, so in_set is right in
+    # both modes; c5's is (1 - s^2)^2, within rounding at s = 1 -+ 1e-9
+    rng = np.random.default_rng(1717)
+    for _ in range(400):
+        x = pi_map(s * random_unitary(rng))
+        for closed in (False, True):
+            assert membership(x, closed=closed).in_set is (s < 1.0), (x, closed)
+        assert abs(membership(x).m5 - (1.0 - s * s) ** 2) < 1e-15
+
+
 def test_distinguished_boundary_rejects_interior_and_exterior(rng):
     assert not in_distinguished_boundary((0.5, 0.25, 0.5))
     assert not in_distinguished_boundary((0.0, 0.0, 0.0))

@@ -6,6 +6,10 @@ deterministic JSON document on standard output (complex numbers as
 2 a well-formed negative verdict (not a member / infeasible / failed
 verification), 1 input or usage error with a machine-readable error object
 on standard error.
+
+Each document is byte-identical to ``json.dumps(doc, sort_keys=True,
+indent=2, allow_nan=False)`` and is built whole before the first write, so
+one that cannot be written writes nothing.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -86,22 +91,65 @@ def _provenance(tol: float, seed=None) -> dict:
     }
 
 
-def _wire(v):
-    """The JSON form of what json cannot encode itself: a complex number
-    as [re, im], an array as nested lists."""
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"{type(v).__name__} is not JSON serialisable")
+def _put(v, out: list, nl: str) -> None:
+    """Append the JSON text of v to out; nl is a newline followed by the
+    indent of the line v starts on.  A complex number is written as
+    [re, im] and an array as nested lists; floats (numpy's float64 too) as
+    float.__repr__ writes them.  One direct pass, because json.dumps with
+    an indent always runs json's pure-Python encoder."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {v!r}")
+        out.append(float.__repr__(v))
+    elif isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(v):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _put(v[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in v:
+            out.append(sep)
+            _put(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(v, complex):
+        _put((v.real, v.imag), out, nl)
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, np.ndarray):
+        _put(v.tolist(), out, nl)
+    else:
+        raise TypeError(f"{type(v).__name__} is not JSON serialisable")
 
 
 def _emit(obj: dict, stream=None) -> None:
-    stream = stream or sys.stdout
-    stream.write(
-        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_wire)
-    )
-    stream.write("\n")
+    out = []
+    _put(obj, out, "\n")
+    out.append("\n")
+    (stream or sys.stdout).write("".join(out))
+
+
+_CRITERIA = tuple(f"c{k}" for k in range(1, 10))
 
 
 def _cmd_member(args, tol: float):
@@ -113,7 +161,7 @@ def _cmd_member(args, tol: float):
         "closed": bool(args.closed),
         "report": {
             "in_set": rep.in_set,
-            "criteria": {f"c{k}": getattr(rep, f"c{k}") for k in range(1, 10)},
+            "criteria": dict(zip(_CRITERIA, rep.verdicts())),
             "margins": {
                 "m3": rep.m3, "m3p": rep.m3p, "m4": rep.m4,
                 "m4p": rep.m4p, "m5": rep.m5, "m6": rep.m6,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -668,7 +668,15 @@ class VerificationReport:
     zero_column: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "passed": self.passed, "samples": self.samples, "seed": self.seed,
+            "tol": self.tol, "endpoint_zero": self.endpoint_zero,
+            "endpoint_target": self.endpoint_target,
+            "margin_violation": self.margin_violation,
+            "lift_norm_excess": self.lift_norm_excess,
+            "lift_consistency": self.lift_consistency,
+            "zero_column": self.zero_column,
+        }
 
 
 def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,

@@ -59,14 +59,31 @@ def as_cpoint3(x) -> CPoint3:
 
 def is_triangular(x) -> bool:
     """True when |x1*x2 - x3| <= 1e-10 (1 + |x1*x2| + |x3|), a scale-aware
-    x1*x2 == x3 (matrix representatives are then triangular)."""
+    x1*x2 == x3 (matrix representatives are then triangular).
+
+    Where x1*x2 overflows, the same inequality is decided with x1 and x2
+    scaled by 2**-300 and x3 and the 1 by 2**-600, so that a point such as
+    (1e200 + 1e200j, 1e200, 0) is not triangular; where even the scaled
+    product overflows, |x1*x2| exceeds |x3| by far and x is not triangular."""
     return _tri(*as_cpoint3(x))
 
 
 def _tri(x1, x2, x3) -> bool:
     """:func:`is_triangular` at a validated point."""
     p = x1 * x2
-    return abs(p - x3) <= 1e-10 * (1.0 + abs(p) + abs(x3))
+    ap = abs(p)
+    # an overflowed product makes both sides inf, so only a True is re-decided
+    return abs(p - x3) <= 1e-10 * (1.0 + ap + abs(x3)) and (
+        ap < math.inf or _tri_scaled(x1, x2, x3)
+    )
+
+
+def _tri_scaled(x1, x2, x3) -> bool:
+    """:func:`_tri` in units of 2**600, for a product x1*x2 that overflows."""
+    s, one = 2.0 ** -300, 2.0 ** -600
+    p = (x1 * s) * (x2 * s)
+    ap = abs(p)
+    return ap < math.inf and abs(p - x3 * one) <= 1e-10 * (one + ap + abs(x3) * one)
 
 
 def psi(z, x) -> complex:

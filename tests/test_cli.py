@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -5,7 +6,10 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetra import cli
 from tetra.autgroup import DiscAut
@@ -16,7 +20,7 @@ from tetra.errors import (
 from tetra.interpolate import Interpolant, solve_schwarz, verify_interpolant
 from tetra.tetrablock import as_cpoint3, membership_grid_oracle
 
-from test_readme_examples import run_examples
+from test_readme_examples import GOLDEN, run_examples
 
 SCHEMAS = {}
 for name in (
@@ -496,3 +500,96 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# --- the document writer -------------------------------------------------
+
+def _wire(v):
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serialisable")
+
+
+def _dumps(doc) -> str:
+    """The encoder the CLI wrote its documents with before, kept as the
+    oracle for cli._emit."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_wire) + "\n"
+
+
+def _emitted(doc) -> str:
+    stream = io.StringIO()
+    cli._emit(doc, stream=stream)
+    return stream.getvalue()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e308, 1.7976931348623157e308,
+     -1e-300, 0.1, 1 / 3]
+)
+_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9\u2028\U0001f600", ""]
+)
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_ARRAYS = st.builds(
+    lambda values, cplx: np.array(values, dtype=complex if cplx else float),
+    st.lists(_FLOATS, max_size=4) | st.lists(st.lists(_FLOATS, min_size=2, max_size=2),
+                                             min_size=1, max_size=2),
+    st.booleans(),
+)
+_LEAVES = (
+    st.none() | st.booleans() | _FLOATS | _TEXT | _COMPLEX | _ARRAYS
+    | st.integers() | st.integers(-(2 ** 80), 2 ** 80) | st.sampled_from([10 ** 30, -(2 ** 63)])
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=st.dictionaries(_TEXT, _DOCS, max_size=5))
+def test_writer_matches_json_dumps_byte_for_byte(doc):
+    assert _emitted(doc) == _dumps(doc)
+
+
+def test_writer_matches_json_dumps_on_named_cases():
+    doc = {
+        "empty": [{}, [], (), {"": []}],
+        "nested": {"b": [1, (2.5, [True, None])], "a": {"z": -0.0, "y": 5e-324}},
+        "numbers": [10 ** 40, -(2 ** 64), False, 1e308, -1e-320, np.float64(0.1)],
+        "text": ['q"uote', "back\\slash", "\x01ctl\n", "\u00fcn\u00efc\u00f6de \u2603"],
+        "complex": [1 + 2j, complex(-0.0, 1e-310), np.complex128(3 - 4j)],
+        "arrays": [np.eye(2), np.array([[1j, 2], [3, -4j]]), np.zeros(0)],
+    }
+    assert _emitted(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("value, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    (np.float64(math.nan), ValueError), (complex(0.0, math.inf), ValueError),
+    (np.array([1.0, math.nan]), ValueError),
+    (np.bool_(True), TypeError), (np.float32(0.5), TypeError), (object(), TypeError),
+])
+def test_writer_refuses_what_json_refuses_and_writes_nothing(value, error):
+    doc = {"a": 1.0, "b": [0.5, {"c": value}], "z": "last"}
+    with pytest.raises(error):
+        _dumps(doc)
+    stream = io.StringIO()
+    with pytest.raises(error):
+        cli._emit(doc, stream=stream)
+    assert stream.getvalue() == ""
+
+
+def test_readme_outputs_are_json_dumps_documents():
+    records = json.loads(GOLDEN.read_text())
+    outputs = [r[k] for r in records.values() for k in ("stdout", "stderr") if r[k]]
+    assert outputs
+    for out in outputs:
+        assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out

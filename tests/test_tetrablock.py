@@ -190,6 +190,22 @@ def test_triangular_detection():
     assert membership((0.3, 0.2, 0.06)).triangular
 
 
+@pytest.mark.parametrize("x", [(1e200 + 1e200j, 1e200, 0.0), (1e200, 1e200, 1e300)])
+def test_an_overflowing_product_is_not_taken_for_triangular(x):
+    # x1*x2 overflows to inf, which made both sides of the test inf
+    assert not is_triangular(x)
+    rep = membership(x)
+    assert not rep.triangular and rep.d_value == math.inf
+
+
+def test_triangularity_is_decided_where_the_product_just_overflows():
+    big = 1.7976931348623157e308  # the largest float
+    x1 = 1.7976931348623157e200
+    assert x1 * (1 + 5e-11) * 1e108 == math.inf
+    assert is_triangular((x1 * (1 + 5e-11), 1e108, big))
+    assert not is_triangular((x1 * (1 + 5e-10), 1e108, big))
+
+
 # --- analytic discs ------------------------------------------------------
 
 def test_beta_params_golden():

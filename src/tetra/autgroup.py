@@ -5,9 +5,9 @@ fractional maps Psi(., x); disc automorphisms embed via ``tau`` and act on
 points from the left and right.  Together with the coordinate flip these
 generate the known automorphism group of E.  The module also provides the
 triangular-point normalisation (moving any triangular point of E to the
-origin), the resulting explicit two-point Schwarz-Pick criterion, and the
-pseudohyperbolic distance of the disc that criterion compares against
-(re-exported by :mod:`tetra.metrics`).
+origin), the explicit two-point Schwarz-Pick criterion at such a point, whose
+quotient is tanh of the invariant distance (read by :mod:`tetra.metrics`),
+and the pseudohyperbolic distance of the disc it compares against.
 """
 from __future__ import annotations
 
@@ -151,6 +151,27 @@ def normalize_triangular(x) -> tuple[DiscAut, DiscAut]:
     return (v, chi)
 
 
+def _sp_quotient(x, y) -> float:
+    """tanh of the distance between validated points x, triangular, and y of
+    E: the larger of the Schwarz-Pick term at (a, b, c) = (x1, y1, y2) and at
+    the flipped pair (x2, y2, y1), with p = 1 - conj(a) b, r = c - conj(a) y3,
+
+        ((1 - |a|^2) |y3 - y1 y2| + |(b - a) conj(p) - conj(r) (y3 - a c)|)
+        / (|p|^2 - |r|^2),
+
+    the paper's expanded numerator grouped so that less of it cancels."""
+    (x1, x2, _), (y1, y2, y3) = x, y
+    dety, lhs = abs(y3 - y1 * y2), 0.0
+    for a, b, c in ((x1, y1, y2), (x2, y2, y1)):
+        p, r = 1.0 - a.conjugate() * b, c - a.conjugate() * y3
+        den = abs(p) ** 2 - abs(r) ** 2
+        if not den > 0.0:  # written so that a NaN fails
+            raise NumericalDegenerate("Schwarz-Pick denominator not positive")
+        e = (b - a) * p.conjugate() - r.conjugate() * (y3 - a * c)
+        lhs = max(lhs, ((1.0 - abs(a) ** 2) * dety + abs(e)) / den)
+    return lhs
+
+
 class SchwarzPickResult(NamedTuple):
     feasible: bool
     lhs: float
@@ -161,9 +182,9 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
 
     Decides whether an analytic map of the disc into the closure can send
     lam1 -> x and lam2 -> y, for x triangular in E and y in E: the explicit
-    two-term maximum below must not exceed the pseudohyperbolic distance
-    d(lam1, lam2).  Equality (margin 0) is feasible for closure-valued maps
-    only.
+    two-term quotient ``lhs``, tanh of the invariant distance of x and y, must
+    not exceed the pseudohyperbolic distance d(lam1, lam2).  Equality (margin
+    0) is feasible for closure-valued maps only.
     """
     l1, l2 = complex(lam1), complex(lam2)
     if not (abs(l1) < 1.0 and abs(l2) < 1.0):  # written so that a NaN fails
@@ -179,25 +200,5 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
     y1, y2, y3 = as_cpoint3(y)
     if not _report(y1, y2, y3).in_set:
         raise Outside("y is not in the open domain")
-
-    ay1, ay2, ay3 = abs(y1) ** 2, abs(y2) ** 2, abs(y3) ** 2
-    dety = abs(y3 - y1 * y2)
-
-    num1 = (1.0 - abs(x1) ** 2) * dety + abs(
-        y1 - y2.conjugate() * y3
-        - x1 * (1.0 + ay1 - ay2 - ay3)
-        + x1 * x1 * (y1.conjugate() - y2 * y3.conjugate())
-    )
-    den1 = abs(1.0 - x1.conjugate() * y1) ** 2 - abs(y2 - x1.conjugate() * y3) ** 2
-
-    num2 = (1.0 - abs(x2) ** 2) * dety + abs(
-        y2 - y1.conjugate() * y3
-        - x2 * (1.0 - ay1 + ay2 - ay3)
-        + x2 * x2 * (y2.conjugate() - y1 * y3.conjugate())
-    )
-    den2 = abs(1.0 - x2.conjugate() * y2) ** 2 - abs(y1 - x2.conjugate() * y3) ** 2
-
-    if den1 <= 1e-14 or den2 <= 1e-14:
-        raise NumericalDegenerate("Schwarz-Pick denominator not positive")
-    lhs = max(num1 / den1, num2 / den2)
+    lhs = _sp_quotient((x1, x2, x3), (y1, y2, y3))
     return SchwarzPickResult(lhs <= pseudohyperbolic(l1, l2) + 1e-12, lhs)

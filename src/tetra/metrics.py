@@ -1,17 +1,16 @@
 """Invariant distances on the tetrablock.
 
 From the origin the Caratheodory, Kobayashi and Lempert distances of E all
-equal atanh of the two-quotient maximum behind the membership criteria; the
-same holds for any pair of points at least one of which is triangular, by
-moving that point to the origin with automorphisms.  No closed form is known
-for general pairs, and none is attempted here.
+equal atanh of the two-quotient maximum behind the membership criteria; from
+a triangular point, atanh of the Schwarz-Pick quotient there, which is that
+maximum carried by automorphisms.  No closed form is known for general pairs,
+and none is attempted here.
 """
 from __future__ import annotations
 
 import math
 
-from .autgroup import act_left, act_right, normalize_triangular
-from .autgroup import pseudohyperbolic  # noqa: F401  (re-exported here)
+from .autgroup import _sp_quotient, pseudohyperbolic  # noqa: F401  (re-exported)
 from .errors import Outside, Unsupported
 from .tetrablock import _report, as_cpoint3, criterion_max
 
@@ -28,13 +27,12 @@ def dist_from_origin(x) -> float:
 def dist_triangular_pair(x, y) -> float:
     """Distance between two points of E when at least one is triangular.
 
-    The triangular point is moved to the origin by automorphisms (which
-    leave the distance invariant) and the image of the other point is
-    measured from the origin.  For general pairs no formula is known and
-    :class:`Unsupported` is raised rather than an approximation returned.
+    atanh of the two-term Schwarz-Pick quotient at the triangular point, the
+    ``lhs`` of :func:`~tetra.autgroup.schwarz_pick_triangular`.  For general
+    pairs no formula is known and :class:`Unsupported` is raised rather than
+    an approximation returned.
     """
-    xp = as_cpoint3(x)
-    yp = as_cpoint3(y)
+    xp, yp = as_cpoint3(x), as_cpoint3(y)
     rx = _report(*xp)
     if not rx.in_set:
         raise Outside("first point is not in the open domain")
@@ -49,6 +47,7 @@ def dist_triangular_pair(x, y) -> float:
         raise Unsupported(
             "no closed form for the distance between two non-triangular points"
         )
-    v, chi = normalize_triangular(base)
-    moved = act_right(act_left(v, other), chi)
-    return dist_from_origin(moved)
+    q = _sp_quotient(base, other)
+    if not q < 1.0:
+        raise Outside(f"distance quotient {q} >= 1: point not in the domain")
+    return math.atanh(q)

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+import tetra.autgroup
+import tetra.metrics
 from tetra.autgroup import (
     DiscAut,
+    _sp_quotient,
     act_left,
     act_right,
     diamond,
@@ -20,8 +25,9 @@ from tetra.errors import (
     OutsideDisc,
     Pole,
 )
-from tetra.metrics import pseudohyperbolic
-from tetra.tetrablock import criterion_max, membership
+from tetra.linalg import op_norm
+from tetra.metrics import dist_from_origin, dist_triangular_pair, pseudohyperbolic
+from tetra.tetrablock import as_cpoint3, criterion_max, membership
 
 from conftest import random_disc, random_point_in_e
 
@@ -170,11 +176,14 @@ def test_normalize_triangular_guards():
 # --- explicit Schwarz-Pick bound ------------------------------------------
 
 def test_schwarz_pick_zero_base_equals_criterion(rng):
-    for _ in range(200):
+    # at the origin base each term reduces, operation for operation, to one
+    # of criterion_max's two quotients, so the values agree bit for bit
+    for _ in range(2000):
         y = random_point_in_e(rng)
         res = schwarz_pick_triangular(0.0, 0.5, (0.0, 0.0, 0.0), y)
-        assert res.lhs == pytest.approx(criterion_max(y), abs=1e-12)
+        assert res.lhs == criterion_max(y)
         assert res.feasible == (res.lhs <= 0.5 + 1e-12)
+        assert dist_triangular_pair((0, 0, 0), y) == dist_from_origin(y)
 
 
 def test_schwarz_pick_matches_normalization(rng):
@@ -210,3 +219,95 @@ def test_schwarz_pick_guards():
         schwarz_pick_triangular(0.1, 0.2, (0.5, 0.25, 0.5), (0.1, 0, 0))
     with pytest.raises(Outside):
         schwarz_pick_triangular(0.1, 0.2, (0, 0, 0), (1.5, 0, 0))
+
+
+# --- the Schwarz-Pick quotient, tanh of the triangular-pair distance --------
+
+def test_schwarz_pick_accepts_a_point_of_e_next_to_the_boundary():
+    # one denominator is 1 - |y2|^2, about 2e-15 here, with a numerator of 0;
+    # only a denominator that is not positive is degenerate
+    for y in ((0.0, 1.0 - 1e-15, 0.0), (1.0 - 1e-15, 0.0, 0.0)):
+        res = schwarz_pick_triangular(0.0, 0.5, (0.0, 0.0, 0.0), y)
+        assert res.lhs == criterion_max(y) == 1.0 - 1e-15
+        assert not res.feasible
+        assert dist_triangular_pair((0.0, 0.0, 0.0), y) == dist_from_origin(y)
+
+
+def test_dist_triangular_pair_reads_the_quotient_without_normalizing(monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the distance went through the normalization")
+
+    for module in (tetra.autgroup, tetra.metrics):
+        for name in ("normalize_triangular", "act_left", "act_right", "dist_from_origin"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for _ in range(100):
+        a, b = random_disc(rng), random_disc(rng)
+        xt = (a, b, a * b)
+        y = random_point_in_e(rng)
+        d = dist_triangular_pair(xt, y)
+        assert d == dist_triangular_pair(y, xt)
+        assert d == math.atanh(schwarz_pick_triangular(0.1, 0.6, xt, y).lhs)
+
+
+def pairs_with_quotient(rng, q, n):
+    """n pairs (x, y), x triangular with |x1|, |x2| < 0.95 and y in E, whose
+    pair quotient is within rounding of q: y is the preimage, under x's
+    normalization, of a point pi(t A) with criterion_max q, t found by
+    bisection along a random matrix A of norm 1."""
+    out = []
+    while len(out) < n:
+        a, b = random_disc(rng), random_disc(rng)
+        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        A = G / op_norm(G)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            t = 0.5 * (lo + hi)
+            z = (t * A[0, 0], t * A[1, 1], t * t * (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]))
+            lo, hi = (t, hi) if criterion_max(z) < q else (lo, t)
+        # pi(A) may lie inside E, and then no t reaches q
+        if not abs(criterion_max(z) - q) <= 1e-3 * (1.0 - q):
+            continue
+        v, chi = normalize_triangular((a, b, a * b))
+        y = act_left(v.inverse(), act_right(z, chi.inverse()))
+        if membership(y).in_set:
+            out.append(((a, b, a * b), as_cpoint3(y)))
+    return out
+
+
+def quotient_by_normalization(mp, x, y):
+    """The pair quotient from its definition at mp's working precision: move
+    x to the origin by normalize_triangular's pair (left action of
+    z -> (z - x1)/(conj(x1) z - 1), then right action of
+    z -> (z + conj(x2))/(x2 z + 1)) and take criterion_max of y's image."""
+    x1, x2 = (mp.mpmathify(complex(c)) for c in x[:2])
+    y1, y2, y3 = (mp.mpmathify(c) for c in y)
+    den = 1 - mp.conj(x1) * y1
+    m1, m2, m3 = (x1 - y1) / den, (y2 - mp.conj(x1) * y3) / den, (x1 * y2 - y3) / den
+    den = 1 - m2 * mp.conj(x2)
+    z1, z2, z3 = (m1 - m3 * mp.conj(x2)) / den, (m2 - x2) / den, (m3 - m1 * x2) / den
+    crd = abs(z1 * z2 - z3)
+    return max(
+        (abs(z1 - mp.conj(z2) * z3) + crd) / (1 - abs(z2) ** 2),
+        (abs(z2 - mp.conj(z1) * z3) + crd) / (1 - abs(z1) ** 2),
+    )
+
+
+# 4 x the worst of |quotient - exact| / (1 - exact) over 21 seeds of
+# pairs_with_quotient (50 pairs per level): 1.3e-13, 3.1e-12 and 1.8e-10 at
+# quotients 0.7, 0.99 and 0.9999.  The normalization path in double measured
+# 5.0e-14, 4.2e-12 and 1.2e-10; the paper's expanded numerator, before its
+# regrouping into two products, 3.5e-13, 3.8e-11 and 2.8e-9.
+QUOTIENT_TOL = {0.7: 5.2e-13, 0.99: 1.3e-11, 0.9999: 7.2e-10}
+
+
+def test_schwarz_pick_quotient_matches_the_normalization_in_40_digits(rng):
+    """The closed-form quotient against the normalization path evaluated in
+    40-digit arithmetic, at pairs whose quotient is 0.7, 0.99 and 0.9999;
+    the error is measured relative to 1 - q, which atanh divides by."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for q, tol in QUOTIENT_TOL.items():
+            for x, y in pairs_with_quotient(rng, q, 50):
+                exact = quotient_by_normalization(mpmath.mp, x, y)
+                err = abs(_sp_quotient(as_cpoint3(x), y) - exact) / (1 - exact)
+                assert err <= tol, (q, float(err))

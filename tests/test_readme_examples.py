@@ -4,10 +4,12 @@ Each example runs in-process through ``tetra.cli.run``; its stdout, stderr
 and exit code must equal the record in ``tests/golden/readme_cli.json``.
 The `verify` example reads the solution file that the first `interp`
 example writes.  After a deliberate change of CLI output, rewrite the
-golden file with ``PYTHONPATH=src python tests/test_readme_examples.py``
-and name the change in CHANGES.md.
+golden file with ``PYTHONPATH=src python tests/test_readme_examples.py``,
+which first prints a diff of each example whose record changed, and name
+the change in CHANGES.md.
 """
 import contextlib
+import difflib
 import io
 import json
 import shlex
@@ -64,11 +66,33 @@ def test_readme_examples_match_golden(tmp_path):
         assert got[example] == record, example
 
 
+def golden_diff(old: dict, new: dict) -> str:
+    """A unified diff of stdout and stderr, and a note on the exit code, for
+    each example whose record differs between ``old`` and ``new``."""
+    out = []
+    for example in dict.fromkeys([*old, *new]):
+        a, b = old.get(example, {}), new.get(example, {})
+        if a == b:
+            continue
+        out.append(f"== {example}\n")
+        if a.get("code") != b.get("code"):
+            out.append(f"code: {a.get('code')} -> {b.get('code')}\n")
+        for stream in ("stdout", "stderr"):
+            out += difflib.unified_diff(
+                a.get(stream, "").splitlines(keepends=True),
+                b.get(stream, "").splitlines(keepends=True),
+                f"golden {stream}", f"new {stream}",
+            )
+    return "".join(out)
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         records = run_examples(Path(tmp))
+    if GOLDEN.is_file():
+        sys.stdout.write(golden_diff(json.loads(GOLDEN.read_text()), records))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=2) + "\n")
     sys.stdout.write(f"wrote {len(records)} examples to {GOLDEN}\n")

@@ -26,7 +26,12 @@ from tetra.musyn import (
     synth_two_point,
     synth_two_point_general,
 )
-from tetra.tetrablock import criterion_max, in_distinguished_boundary, membership
+from tetra.tetrablock import (
+    criterion_max,
+    in_distinguished_boundary,
+    is_triangular,
+    membership,
+)
 
 from conftest import random_contraction, random_disc, random_point_in_e, random_unitary
 from test_distance_oracle import c_T
@@ -172,6 +177,28 @@ def test_automorphisms_preserve_the_distinguished_boundary():
         for act in (lambda p: act_left(v, p), lambda p: act_right(p, v), flip):
             assert in_distinguished_boundary(act(x), tol=1e-14)
             assert not in_distinguished_boundary(act(y), tol=0.05)
+
+
+def test_automorphisms_preserve_the_distance_bound():
+    """c_T(g x, g y) = c_T(x, y) for g = act_left(v, .), act_right(., v) and
+    flip, at 40 seeded pairs of non-triangular points of E.
+
+    Each of them carries the family of slice maps Psi(w, .), Upsilon(w, .),
+    |w| = 1, onto itself, up to a disc automorphism applied to the values
+    (which rho does not see) and a change of w on the circle, so c_T, the
+    maximum of rho over that family, is invariant.  v has |alpha| < 0.95 and
+    so no pole on E.  Measured worst |c_T(g x, g y) - c_T(x, y)| over seeds
+    0 to 19 of these draws (2400 checks): 7.8e-15 for act_left, 4.4e-15 for
+    act_right and 0 for flip, which only swaps the two slice families; the
+    tolerance is 4 times the worst."""
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        x, y = random_point_in_e(rng), random_point_in_e(rng)
+        assert not (is_triangular(x) or is_triangular(y))
+        v = DiscAut(cmath.exp(2j * math.pi * rng.uniform()), random_disc(rng))
+        c = c_T(x, y)
+        for g in (lambda p: act_left(v, p), lambda p: act_right(p, v), flip):
+            assert abs(c_T(g(x), g(y)) - c) <= 3.2e-14
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

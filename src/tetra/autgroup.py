@@ -4,14 +4,15 @@ The semigroup operation ``diamond`` encodes composition of the linear
 fractional maps Psi(., x); disc automorphisms embed via ``tau`` and act on
 points from the left and right.  Together with the coordinate flip these
 generate the known automorphism group of E.  The module also provides the
-triangular-point normalisation (moving any triangular point of E to the
-origin), the explicit two-point Schwarz-Pick criterion at such a point, whose
-quotient is tanh of the invariant distance (read by :mod:`tetra.metrics`),
-and the pseudohyperbolic distance of the disc it compares against.
+normalisation moving a triangular point of E to the origin, the explicit
+two-point Schwarz-Pick criterion at such a point, whose quotient is tanh of
+the invariant distance (read by :mod:`tetra.metrics`) and below 1 exactly on
+E, and the disc's pseudohyperbolic distance it compares against.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,12 +21,11 @@ from .errors import (
     NonFinite,
     NotTriangular,
     NotUnimodular,
-    NumericalDegenerate,
     Outside,
     OutsideDisc,
     Pole,
 )
-from .tetrablock import CPoint3, _act_left, _report, as_cpoint3
+from .tetrablock import CPoint3, _act_left, _margins, _tri, as_cpoint3
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -137,36 +137,47 @@ def upsilon_star(v: DiscAut) -> DiscAut:
     return DiscAut(v.omega, (v.omega * v.alpha).conjugate())
 
 
+def _triangular_base(xp: CPoint3, name: str) -> CPoint3:
+    """xp if triangular and in E, else NotTriangular or Outside naming ``name``:
+    E meets {x3 = x1 x2} in the bidisc, tested first so that the c3 margins
+    (m3, m3p), membership's verdict, cannot overflow."""
+    x1, x2, x3 = xp
+    if not _tri(x1, x2, x3):
+        raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
+    if abs(x1) < 1.0 and abs(x2) < 1.0 and min(_margins(x1, x2, x3)[1][:2]) > 0.0:
+        return xp
+    raise Outside(f"{name} is not in the open domain")
+
+
 def normalize_triangular(x) -> tuple[DiscAut, DiscAut]:
     """Automorphism pair (v, chi) moving a triangular point of E to the
     origin: act_right(act_left(v, x), chi) = (0, 0, 0)."""
-    x1, x2, x3 = as_cpoint3(x)
-    rep = _report(x1, x2, x3)
-    if not rep.triangular:
-        raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
-    if not rep.in_set:
-        raise Outside("triangular point is not in the open domain")
+    x1, x2, _ = _triangular_base(as_cpoint3(x), "triangular point")
     v = DiscAut(1.0 + 0.0j, x1)            # z -> (z - x1)/(conj(x1) z - 1)
     chi = DiscAut(-1.0 + 0.0j, -x2.conjugate())  # z -> (z + conj(x2))/(x2 z + 1)
     return (v, chi)
 
 
 def _sp_quotient(x, y) -> float:
-    """tanh of the distance between validated points x, triangular, and y of
-    E: the larger of the Schwarz-Pick term at (a, b, c) = (x1, y1, y2) and at
-    the flipped pair (x2, y2, y1), with p = 1 - conj(a) b, r = c - conj(a) y3,
+    """tanh of the distance from x, triangular in E, to y, both validated:
+    the larger of the Schwarz-Pick term at (a, b, c) = (x1, y1, y2) and at
+    (x2, y2, y1), with p = 1 - conj(a) b, r = c - conj(a) y3,
 
         ((1 - |a|^2) |y3 - y1 y2| + |(b - a) conj(p) - conj(r) (y3 - a c)|)
         / (|p|^2 - |r|^2),
 
-    the paper's expanded numerator grouped so that less of it cancels."""
+    the paper's numerator grouped so that less of it cancels.  Below 1, with
+    positive denominators, exactly for y in E; math.inf for y off the open
+    tridisc (tested first: nothing overflows) or a denominator not > 0."""
     (x1, x2, _), (y1, y2, y3) = x, y
+    if not (abs(y1) < 1.0 and abs(y2) < 1.0 and abs(y3) < 1.0):
+        return math.inf
     dety, lhs = abs(y3 - y1 * y2), 0.0
     for a, b, c in ((x1, y1, y2), (x2, y2, y1)):
         p, r = 1.0 - a.conjugate() * b, c - a.conjugate() * y3
         den = abs(p) ** 2 - abs(r) ** 2
         if not den > 0.0:  # written so that a NaN fails
-            raise NumericalDegenerate("Schwarz-Pick denominator not positive")
+            return math.inf
         e = (b - a) * p.conjugate() - r.conjugate() * (y3 - a * c)
         lhs = max(lhs, ((1.0 - abs(a) ** 2) * dety + abs(e)) / den)
     return lhs
@@ -184,21 +195,15 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
     lam1 -> x and lam2 -> y, for x triangular in E and y in E: the explicit
     two-term quotient ``lhs``, tanh of the invariant distance of x and y, must
     not exceed the pseudohyperbolic distance d(lam1, lam2).  Equality (margin
-    0) is feasible for closure-valued maps only.
+    0) is feasible for closure-valued maps only.  :class:`Outside` is raised
+    for x with membership's verdict, for y exactly when ``lhs`` is not < 1.
     """
     l1, l2 = complex(lam1), complex(lam2)
     if not (abs(l1) < 1.0 and abs(l2) < 1.0):  # written so that a NaN fails
         raise OutsideDisc("interpolation nodes must lie in the open disc")
     if abs(l1 - l2) < 1e-15:
         raise BadLambda("interpolation nodes must be distinct")
-    x1, x2, x3 = as_cpoint3(x)
-    rep = _report(x1, x2, x3)
-    if not rep.triangular:
-        raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
-    if not rep.in_set:
-        raise Outside("x is not in the open domain")
-    y1, y2, y3 = as_cpoint3(y)
-    if not _report(y1, y2, y3).in_set:
+    lhs = _sp_quotient(_triangular_base(as_cpoint3(x), "x"), as_cpoint3(y))
+    if not lhs < 1.0:
         raise Outside("y is not in the open domain")
-    lhs = _sp_quotient((x1, x2, x3), (y1, y2, y3))
     return SchwarzPickResult(lhs <= pseudohyperbolic(l1, l2) + 1e-12, lhs)

@@ -64,13 +64,13 @@ from .linalg import (
     pi_map,
     principal_sqrt,
 )
-from .tetrablock import (  # noqa: F401  (membership: kept importable from here)
+from .tetrablock import (
     CPoint3,
     _margins,
     as_cpoint3,
     criterion_max,
     is_triangular,
-    membership,
+    membership,  # noqa: F401  (kept importable from here)
 )
 
 EXTREMAL_RTOL = 1e-10   # |max quotient - |lambda0|| below this is extremal

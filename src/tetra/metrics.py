@@ -3,16 +3,17 @@
 From the origin the Caratheodory, Kobayashi and Lempert distances of E all
 equal atanh of the two-quotient maximum behind the membership criteria; from
 a triangular point, atanh of the Schwarz-Pick quotient there, which is that
-maximum carried by automorphisms.  No closed form is known for general pairs,
-and none is attempted here.
+maximum carried by automorphisms and below 1 exactly on E.  No closed form is
+known for general pairs, and none is attempted here.
 """
 from __future__ import annotations
 
 import math
 
-from .autgroup import _sp_quotient, pseudohyperbolic  # noqa: F401  (re-exported)
-from .errors import Outside, Unsupported
-from .tetrablock import _report, as_cpoint3, criterion_max
+from .autgroup import _sp_quotient, _triangular_base
+from .autgroup import pseudohyperbolic  # noqa: F401  (re-exported)
+from .errors import NotTriangular, Outside, Unsupported
+from .tetrablock import as_cpoint3, criterion_max
 
 
 def dist_from_origin(x) -> float:
@@ -28,26 +29,18 @@ def dist_triangular_pair(x, y) -> float:
     """Distance between two points of E when at least one is triangular.
 
     atanh of the two-term Schwarz-Pick quotient at the triangular point, the
-    ``lhs`` of :func:`~tetra.autgroup.schwarz_pick_triangular`.  For general
-    pairs no formula is known and :class:`Unsupported` is raised rather than
-    an approximation returned.
+    ``lhs`` of :func:`~tetra.autgroup.schwarz_pick_triangular`, which also
+    decides the other point's membership; :class:`Outside` names the point
+    that fails.  A pair with no triangular point raises :class:`Unsupported`,
+    whatever the points' membership: no formula is known for it.
     """
-    xp, yp = as_cpoint3(x), as_cpoint3(y)
-    rx = _report(*xp)
-    if not rx.in_set:
-        raise Outside("first point is not in the open domain")
-    ry = _report(*yp)
-    if not ry.in_set:
-        raise Outside("second point is not in the open domain")
-    if rx.triangular:
-        base, other = xp, yp
-    elif ry.triangular:
-        base, other = yp, xp
-    else:
-        raise Unsupported(
-            "no closed form for the distance between two non-triangular points"
-        )
-    q = _sp_quotient(base, other)
-    if not q < 1.0:
-        raise Outside(f"distance quotient {q} >= 1: point not in the domain")
-    return math.atanh(q)
+    pair = (as_cpoint3(x), "first point"), (as_cpoint3(y), "second point")
+    for (base, name), (other, other_name) in (pair, pair[::-1]):
+        try:
+            q = _sp_quotient(_triangular_base(base, name), other)
+        except NotTriangular:
+            continue
+        if not q < 1.0:
+            raise Outside(f"{other_name} is not in the open domain")
+        return math.atanh(q)
+    raise Unsupported("no closed form for the distance between two non-triangular points")

@@ -1,10 +1,13 @@
+import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 import tetra.autgroup
 import tetra.metrics
+import tetra.tetrablock
 from tetra.autgroup import (
     DiscAut,
     _sp_quotient,
@@ -19,17 +22,22 @@ from tetra.autgroup import (
 )
 from tetra.errors import (
     BadLambda,
+    BadShape,
     NotTriangular,
     NotUnimodular,
     Outside,
     OutsideDisc,
     Pole,
+    Unsupported,
 )
+from tetra.cli import run
 from tetra.linalg import op_norm
 from tetra.metrics import dist_from_origin, dist_triangular_pair, pseudohyperbolic
-from tetra.tetrablock import as_cpoint3, criterion_max, membership
+from tetra.musyn import synth_two_point_general
+from tetra.tetrablock import as_cpoint3, criterion_max, is_triangular, membership
 
-from conftest import random_disc, random_point_in_e
+from conftest import random_contraction, random_disc, random_point_in_e
+from test_cli import SCHEMAS
 
 
 def random_aut(rng, r=0.9):
@@ -166,11 +174,23 @@ def test_normalize_triangular_lands_at_origin(rng):
         assert points_close(image, (0.0, 0.0, 0.0))
 
 
+# triangular within is_triangular's tolerance and in the bidisc, but off E:
+# m3 < 0 at the first, |x3| > 1 at the second
+NEAR_TRIANGULAR_OFF_E = (
+    (1 - 1e-11, 0.0, 1e-10),
+    (1 - 1e-11, 1 - 1e-11, (1 - 1e-11) ** 2 + 2.5e-10),
+)
+
+
 def test_normalize_triangular_guards():
     with pytest.raises(NotTriangular):
         normalize_triangular((0.5, 0.25, 0.5))
     with pytest.raises(Outside):
         normalize_triangular((1.5, 0.2, 0.3))
+    for x in NEAR_TRIANGULAR_OFF_E:
+        assert is_triangular(x) and not membership(x).in_set
+        with pytest.raises(Outside):
+            normalize_triangular(x)
 
 
 # --- explicit Schwarz-Pick bound ------------------------------------------
@@ -219,13 +239,17 @@ def test_schwarz_pick_guards():
         schwarz_pick_triangular(0.1, 0.2, (0.5, 0.25, 0.5), (0.1, 0, 0))
     with pytest.raises(Outside):
         schwarz_pick_triangular(0.1, 0.2, (0, 0, 0), (1.5, 0, 0))
+    for x in NEAR_TRIANGULAR_OFF_E:
+        with pytest.raises(Outside, match="^x is"):
+            schwarz_pick_triangular(0.1, 0.2, x, (0.1, 0, 0))
 
 
 # --- the Schwarz-Pick quotient, tanh of the triangular-pair distance --------
 
 def test_schwarz_pick_accepts_a_point_of_e_next_to_the_boundary():
     # one denominator is 1 - |y2|^2, about 2e-15 here, with a numerator of 0;
-    # only a denominator that is not positive is degenerate
+    # it is positive, so the quotient is finite: only a denominator that is
+    # not positive reads as inf, a point outside E
     for y in ((0.0, 1.0 - 1e-15, 0.0), (1.0 - 1e-15, 0.0, 0.0)):
         res = schwarz_pick_triangular(0.0, 0.5, (0.0, 0.0, 0.0), y)
         assert res.lhs == criterion_max(y) == 1.0 - 1e-15
@@ -311,3 +335,112 @@ def test_schwarz_pick_quotient_matches_the_normalization_in_40_digits(rng):
                 exact = quotient_by_normalization(mpmath.mp, x, y)
                 err = abs(_sp_quotient(as_cpoint3(x), y) - exact) / (1 - exact)
                 assert err <= tol, (q, float(err))
+
+
+# --- validation at a triangular point builds no membership report ----------
+
+def _forbid_reports(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a membership report was built")
+
+    for module in (tetra.tetrablock, tetra.autgroup, tetra.metrics):
+        for name in ("_report", "membership"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the type stands for the answer
+        return type(exc)
+
+
+UPPER = np.array([[0.05, 0.3], [0.0, 0.04]], dtype=complex)
+FULL = np.array([[0.3, 0.2], [0.1, 0.2]], dtype=complex)
+# every input of the guard tests of the four functions, with its error
+GUARD_CASES = [
+    (lambda: normalize_triangular((0.5, 0.25, 0.5)), NotTriangular),
+    (lambda: normalize_triangular((1.5, 0.2, 0.3)), Outside),
+    (lambda: schwarz_pick_triangular(0.2, 0.2, (0, 0, 0), (0.1, 0, 0)), BadLambda),
+    (lambda: schwarz_pick_triangular(0.2, 1.5, (0, 0, 0), (0.1, 0, 0)), OutsideDisc),
+    (lambda: schwarz_pick_triangular(0.1, 0.2, (0.5, 0.25, 0.5), (0.1, 0, 0)), NotTriangular),
+    (lambda: schwarz_pick_triangular(0.1, 0.2, (0, 0, 0), (1.5, 0, 0)), Outside),
+    (lambda: schwarz_pick_triangular(math.nan, 0.5, (0.3, 0.2, 0.06), (0.5, 0.25, 0.5)), OutsideDisc),
+    (lambda: dist_triangular_pair((0.5, 0.25, 0.5), (0.3, 0.2, 0.1)), Unsupported),
+    (lambda: dist_triangular_pair((0.3, 0.2, 0.06), (1.5, 0.0, 0.0)), Outside),
+    (lambda: dist_triangular_pair((1.5, 0.2, 0.3), (0.1, 0.0, 0.0)), Outside),
+    *[(lambda x=x: normalize_triangular(x), Outside) for x in NEAR_TRIANGULAR_OFF_E],
+    *[(lambda x=x: schwarz_pick_triangular(0.1, 0.2, x, (0.1, 0, 0)), Outside)
+      for x in NEAR_TRIANGULAR_OFF_E],
+    *[(lambda x=x: dist_triangular_pair(x, (0.1, 0.0, 0.0)), Outside)
+      for x in NEAR_TRIANGULAR_OFF_E],
+    *[(lambda x=x: dist_triangular_pair((0.3, 0.2, 0.1), x), Outside)
+      for x in NEAR_TRIANGULAR_OFF_E],
+    (lambda: synth_two_point_general(0.1, 0.6, FULL, FULL), BadShape),
+    (lambda: synth_two_point_general(0.1, 0.6, np.diag([0.1, 0.2]), FULL), BadShape),
+    (lambda: synth_two_point_general(0.1, 0.6, UPPER, np.diag([0.1, 0.2])), BadShape),
+    (lambda: synth_two_point_general(math.nan, 0.5, UPPER, FULL), OutsideDisc),
+]
+
+
+def test_triangular_point_functions_build_no_membership_report(monkeypatch, rng):
+    """normalize_triangular, schwarz_pick_triangular, dist_triangular_pair
+    and synth_two_point_general decide membership from the two closed forms
+    alone: with membership and its report replaced by functions that raise,
+    they give the same answers on seeded inputs (errors included) and the
+    same error types on every input of their guard tests."""
+    pairs = []
+    for _ in range(100):
+        a, b = random_disc(rng), random_disc(rng)
+        pairs.append(((a, b, a * b), random_point_in_e(rng)))
+    mats = []
+    for _ in range(40):
+        A, B = random_contraction(rng, hi=1.2), random_contraction(rng, hi=1.2)
+        A[1, 0] = 0.0
+        mats.append((A, B))
+
+    def answers():
+        return [
+            [_outcome(lambda: normalize_triangular(x)) for x, _ in pairs],
+            [_outcome(lambda: schwarz_pick_triangular(0.1, 0.6, x, y)) for x, y in pairs],
+            [_outcome(lambda: dist_triangular_pair(x, y)) for x, y in pairs],
+            [_outcome(lambda: dist_triangular_pair(y, x)) for x, y in pairs],
+            [_outcome(lambda: synth_two_point_general(0.1, 0.6, A, B)) for A, B in mats],
+        ]
+
+    expected = answers()
+    assert Outside in expected[4] and True in expected[4]
+    _forbid_reports(monkeypatch)
+    assert answers() == expected
+    for call, error in GUARD_CASES:
+        with pytest.raises(error):
+            call()
+
+
+BIG = (0.0, 1e154, 1.5e154 + 1.5e154j)
+
+
+def test_distances_survive_coordinates_near_1e154(monkeypatch, capsys):
+    """Each coordinate of BIG has a finite modulus, but conj(x2) x3 does not,
+    so a membership report of BIG overflows.  The quotient reads BIG off the
+    open tridisc before any arithmetic: inf, and Outside from the functions
+    that read it, in the library and through the CLI (exit 1 and one error
+    document)."""
+    _forbid_reports(monkeypatch)
+    x = (0.1, 0.2, 0.02)
+    assert _sp_quotient(as_cpoint3(x), as_cpoint3(BIG)) == math.inf
+    for call in (
+        lambda: dist_triangular_pair(x, BIG),
+        lambda: dist_triangular_pair(BIG, x),
+        lambda: schwarz_pick_triangular(0.1, 0.6, x, BIG),
+    ):
+        with pytest.raises(Outside):
+            call()
+    big = "[0, 1e154, [1.5e154, 1.5e154]]"
+    for ends in (("[0.1, 0.2, 0.02]", big), (big, "[0.1, 0.2, 0.02]")):
+        code = run(["dist", "--from", ends[0], "--to", ends[1]])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        doc = json.loads(err)  # one document: trailing data would not parse
+        jsonschema.validate(doc, SCHEMAS["error"])
+        assert doc["error"]["type"] == "Outside"

@@ -1,15 +1,17 @@
 """Every import in the library is used, and so is every private helper.
 
 An import is unused when the name it binds is never read in its module, is
-not listed in ``__all__`` and its import statement carries no ``# noqa``
-(on the statement's first line or on the name's own line).  A private
-module-level name (one leading underscore) is orphaned when no module of
-the library reads it: no load of the name, no attribute of that name and no
-``from ... import`` of it.  Tests do not count as readers, so a deletion
-cannot leave a helper behind that only a test still calls.
+not listed in ``__all__`` and carries no ``# noqa``.  A ``# noqa`` counts only
+on a line that binds exactly that one name, so a marker on a multi-name
+statement, or on the opening line of a parenthesised one, exempts nothing.
+A private module-level name (one leading underscore) is orphaned when no
+module of the library reads it: no load of the name, no attribute of that
+name and no ``from ... import`` of it.  Tests do not count as readers, so a
+deletion cannot leave a helper behind that only a test still calls.
 """
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -24,9 +26,10 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
+            per_line = Counter(alias.lineno for alias in node.names)
             for alias in node.names:
-                own_lines = (node.lineno, alias.lineno)
-                if not any("# noqa" in lines[n - 1] for n in own_lines):
+                marked = "# noqa" in lines[alias.lineno - 1]
+                if not (marked and per_line[alias.lineno] == 1):
                     bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
     read = {
         n.id for n in ast.walk(tree)
@@ -95,10 +98,19 @@ def test_the_check_sees_an_unused_import():
         "import math\n"
         "import os  # noqa: F401\n"
         "from .errors import NormTooLarge, Outside\n"
+        "from .linalg import op_norm, pi_map  # noqa: F401\n"
+        "from .tetrablock import (  # noqa: F401\n"
+        "    as_cpoint3,\n"
+        "    membership,  # noqa: F401\n"
+        "    psi,\n"
+        ")\n"
         "__all__ = ['Outside']\n"
         "x = math.pi\n"
     )
-    assert unused_imports(source) == ["line 3: NormTooLarge"]
+    assert unused_imports(source) == [
+        "line 3: NormTooLarge", "line 4: op_norm", "line 4: pi_map",
+        "line 6: as_cpoint3", "line 8: psi",
+    ]
 
 
 def test_no_orphaned_private_names():

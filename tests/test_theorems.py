@@ -2,8 +2,9 @@
 
 The other test files check each construction against its own contract; these
 check the paper's statements about them: the Schwarz lemma for the
-interpolants, the invariance of membership under the automorphisms and the
-invariances of mu.  They are derandomised Hypothesis tests, so every run draws
+interpolants, the invariance of membership under the automorphisms, the
+invariances of mu and the two closed forms that decide membership at a
+triangular point.  They are derandomised Hypothesis tests, so every run draws
 the same examples.
 """
 import cmath
@@ -13,8 +14,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tetra.autgroup import DiscAut, act_left, act_right, flip
-from tetra.errors import Pole
+from tetra.autgroup import (
+    DiscAut,
+    act_left,
+    act_right,
+    flip,
+    normalize_triangular,
+    schwarz_pick_triangular,
+)
+from tetra.errors import Outside, Pole
 from tetra.interpolate import all_solutions_params, solve_schwarz, solve_with_sigma
 from tetra.linalg import mat2, op_norm, pi_map
 from tetra.metrics import pseudohyperbolic
@@ -312,3 +320,131 @@ def test_the_distance_bound_rules_out_two_point_synthesis(rng):
         elif c < rho - 4e-15:
             assert feasible
     assert ruled_out >= 20, ruled_out
+
+
+def _modulus(rng):
+    """Uniform in [0, 1.5), or 1 -+ 10**-u with u uniform in [1, 15]."""
+    if rng.uniform() < 0.5:
+        return rng.uniform(0.0, 1.5)
+    return 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(1.0, 15.0)
+
+
+# 4 x the worst |min(m3, m3p)| over the points where the two verdicts
+# differed (see the test)
+BIDISC_BAND = 1.4e-15
+
+
+def test_e_meets_the_triangular_points_in_the_bidisc():
+    """membership((a, b, a b)).in_set == (|a| < 1 and |b| < 1): the defining
+    polynomial factors there, 1 - a z - b w + a b z w = (1 - a z)(1 - b w).
+
+    20000 seeded points, each modulus drawn by _modulus, so that half of the
+    moduli lie 1e-1 to 1e-15 from the unit circle.  A point whose c3 margin
+    min(m3, m3p) is within BIDISC_BAND of 0 is left out: there rounding
+    decides c3, the membership verdict.  At (a, b, a b) the exact margins
+    are (1 - |b|^2)(1 - |a|) and (1 - |a|^2)(1 - |b|), so next to the
+    corner |a| = |b| = 1 they fall below rounding while both moduli are
+    still 1e-8 or so from 1: a band on the moduli alone would not hold.
+    Measured over seeds 0 to 15 (320000 points): the verdicts differed on
+    6694 points, each with |min(m3, m3p)| <= 3.4e-16 and a modulus within
+    6.4e-9 of 1; the band is 4 times the former.
+
+    The bidisc holds for exactly triangular points only.  is_triangular
+    allows x3 = a b + delta with |delta| up to about 1e-10 (1 + |a b|), and
+    such a point can lie in the bidisc but outside E: at (1 - 1e-11, 0,
+    1e-10), m3 < 0.  normalize_triangular validates with the bidisc and then
+    membership's c3 margins, so on both points of each draw, (a, b, a b)
+    and (a, b, a b + delta), it raises Outside exactly when membership reads
+    outside, with no band.  2180 of the near points lie in the bidisc but
+    outside E."""
+    rng = np.random.default_rng(20)
+    off_e_in_the_bidisc = 0
+    for _ in range(20000):
+        ra, rb = _modulus(rng), _modulus(rng)
+        a = ra * cmath.exp(2j * math.pi * rng.uniform())
+        b = rb * cmath.exp(2j * math.pi * rng.uniform())
+        rep = membership((a, b, a * b))
+        bidisc = abs(a) < 1.0 and abs(b) < 1.0
+        if abs(min(rep.m3, rep.m3p)) > BIDISC_BAND:
+            assert rep.in_set == bidisc, (a, b)
+        delta = 0.99e-10 * (1.0 + abs(a * b)) * rng.uniform()
+        near = (a, b, a * b + delta * cmath.exp(2j * math.pi * rng.uniform()))
+        for x in ((a, b, a * b), near):
+            assert is_triangular(x)
+            try:
+                normalize_triangular(x)
+                outside = False
+            except Outside:
+                outside = True
+            assert outside == (not membership(x).in_set), x
+        off_e_in_the_bidisc += bidisc and not membership(near).in_set
+    assert off_e_in_the_bidisc >= 1000, off_e_in_the_bidisc
+
+
+_KINDS = ("inside", "outside", "near", "y2_off_the_disc", "scaled")
+_SCALES = (1e1, 1e3, 1e10, 1e30, 1e100, 1e250)
+
+
+def _second_point(rng, kind):
+    """A point of one family: pi(t A), A a complex symmetric matrix of norm
+    1 (the symmetric representative of its image, which is then in E
+    exactly when t < 1), with t in [0, 0.99) ("inside"), [1.01, 3)
+    ("outside") or 1 -+ 10**-u, u uniform in [2, 14] ("near"); a point with
+    |y1|, |y3| < 1 <= |y2| < 3; or a near point times one of _SCALES."""
+    if kind == "y2_off_the_disc":
+        y2 = rng.uniform(1.0, 3.0) * cmath.exp(2j * math.pi * rng.uniform())
+        return (random_disc(rng, 1.0), y2, random_disc(rng, 1.0))
+    a, b, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    n = op_norm(mat2(a, w, w, b))
+    if kind == "inside":
+        t = rng.uniform(0.0, 0.99)
+    elif kind == "outside":
+        t = rng.uniform(1.01, 3.0)
+    else:
+        t = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(2.0, 14.0)
+    t /= n
+    y = (t * a, t * b, t * t * (a * b - w * w))
+    if kind == "scaled":
+        s = _SCALES[rng.integers(len(_SCALES))]
+        y = tuple(s * c for c in y)
+    return y
+
+
+# 4 x the worst |min(m3, m3p)| of y over the pairs where the two verdicts
+# differed (see the test)
+QUOTIENT_BAND = 9.6e-14
+
+
+def test_the_schwarz_pick_quotient_decides_membership_of_the_other_point():
+    """schwarz_pick_triangular raises Outside exactly when y is not in E.
+
+    At a triangular base x in E the quotient is criterion_max of y moved by
+    the automorphism that carries x to 0, so it is below 1, with positive
+    denominators, exactly on E.  20000 seeded pairs: x = (a, b, a b) with
+    |a|, |b| < 0.98 and y from each family of _second_point in turn.  A pair
+    with |min(m3, m3p)| of y within QUOTIENT_BAND is left out: there c3, the
+    membership verdict, reads inside and the quotient can read >= 1 by
+    rounding.  Measured over seeds 0 to 9 (200000 pairs): the verdicts
+    differed on 3 pairs, each with |min(m3, m3p)| <= 2.0e-14, all of them
+    near points; on other draws, 2.4e-14 over 199994 pairs.  The band is 4
+    times the larger.  The scales skip 1e154 or so, where membership itself
+    overflows (test_distances_survive_coordinates_near_1e154 covers the
+    distance there)."""
+    rng = np.random.default_rng(21)
+    seen = set()
+    for k in range(20000):
+        kind = _KINDS[k % len(_KINDS)]
+        a, b = random_disc(rng, 0.98), random_disc(rng, 0.98)
+        y = _second_point(rng, kind)
+        rep = membership(y)
+        if abs(min(rep.m3, rep.m3p)) <= QUOTIENT_BAND:
+            continue
+        try:
+            schwarz_pick_triangular(0.1, 0.6, (a, b, a * b), y)
+            outside = False
+        except Outside:
+            outside = True
+        assert outside == (not rep.in_set), (a, b, y)
+        seen.add((kind, outside))
+    assert seen == {("inside", False), ("near", False), ("near", True),
+                    ("outside", True), ("y2_off_the_disc", True), ("scaled", True)}

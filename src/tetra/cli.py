@@ -10,13 +10,19 @@ on standard error.
 Each document is byte-identical to ``json.dumps(doc, sort_keys=True,
 indent=2, allow_nan=False)`` and is built whole before the first write, so
 one that cannot be written writes nothing.
+
+Options read as argparse reads them: ``--tol`` (the margin tolerance) before
+the subcommand, ``--name value`` or ``--name=value``, unique prefixes, the
+last of repeats and ``-h``; a value such as ``-1e-3`` needs the ``=`` form.
 """
 from __future__ import annotations
 
-import argparse
+import itertools
 import json
 import math
+import re
 import sys
+import types
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -47,19 +53,10 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so run() owns exit codes."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _as_complex_entry(v) -> complex:
-    if isinstance(v, (int, float)):
+    if type(v) in (int, float):  # a JSON true or false is no number
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-        isinstance(c, (int, float)) for c in v
-    ):
+    if isinstance(v, list) and len(v) == 2 and all(type(c) in (int, float) for c in v):
         return complex(v[0], v[1])
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
@@ -373,76 +370,116 @@ def _cmd_verify(args, tol: float):
     return out, (0 if report.passed else 2)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="tetra", description=__doc__)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"margin tolerance (default: {DEFAULT_TOL})")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    m = sub.add_parser("member", help="membership report for a point")
-    m.add_argument("--point", required=True)
-    m.add_argument("--closed", action="store_true")
-    m.add_argument("--oracle-grid", type=int, default=None)
-
-    d = sub.add_parser("dist", help="invariant distance")
-    d.add_argument("--from", required=True)
-    d.add_argument("--to", default=None)
-
-    i = sub.add_parser("interp", help="two-point interpolation from the origin")
-    i.add_argument("--lambda0", required=True)
-    i.add_argument("--point", required=True)
-    i.add_argument("--sigma", type=float, default=None)
-    i.add_argument("--t", default=None)
-    i.add_argument("--samples", type=int, default=200)
-    i.add_argument("--seed", type=int, default=None)
-
-    u = sub.add_parser("mu", help="structured singular value")
-    u.add_argument("--matrix", required=True)
-    u.add_argument("--oracle", action="store_true")
-
-    s = sub.add_parser("synth", help="two-point mu-synthesis")
-    s.add_argument("--lambda0", required=True)
-    s.add_argument("--a1", required=True)
-    s.add_argument("--a2", required=True)
-
-    b = sub.add_parser("boundary", help="distinguished boundary and peak probe")
-    b.add_argument("--point", required=True)
-
-    a = sub.add_parser("auto", help="automorphism actions")
-    a.add_argument("--op", required=True,
-                   choices=["diamond", "left", "right", "flip", "normalize"])
-    a.add_argument("--x", default=None)
-    a.add_argument("--y", default=None)
-    a.add_argument("--omega", default=None)
-    a.add_argument("--alpha", default=None)
-
-    v = sub.add_parser("verify", help="re-verify a stored interpolant")
-    v.add_argument("--interpolant", required=True)
-    v.add_argument("--samples", type=int, default=500)
-    v.add_argument("--seed", type=int, default=0)
-    return p
-
-
-# argparse keeps no state between parses (each returns a fresh Namespace and
-# _Parser.error raises), so one parser serves every run() in the process.
-_PARSER = _build_parser()
-
-_HANDLERS = {
-    "member": _cmd_member,
-    "dist": _cmd_dist,
-    "interp": _cmd_interp,
-    "mu": _cmd_mu,
-    "synth": _cmd_synth,
-    "boundary": _cmd_boundary,
-    "auto": _cmd_auto,
-    "verify": _cmd_verify,
+# Each subcommand's handler, help line and options.  An option is (type,
+# default): a bool is a flag, a tuple lists the choices, and a default of
+# ... makes the option required.
+_TOP = {"--tol": (float, DEFAULT_TOL)}
+_COMMANDS = {
+    "member": (_cmd_member, "membership report for a point", {
+        "--point": (str, ...), "--closed": (bool, False), "--oracle-grid": (int, None)}),
+    "dist": (_cmd_dist, "invariant distance", {"--from": (str, ...), "--to": (str, None)}),
+    "interp": (_cmd_interp, "two-point interpolation from the origin", {
+        "--lambda0": (str, ...), "--point": (str, ...), "--sigma": (float, None),
+        "--t": (str, None), "--samples": (int, 200), "--seed": (int, None)}),
+    "mu": (_cmd_mu, "structured singular value", {
+        "--matrix": (str, ...), "--oracle": (bool, False)}),
+    "synth": (_cmd_synth, "two-point mu-synthesis", {
+        "--lambda0": (str, ...), "--a1": (str, ...), "--a2": (str, ...)}),
+    "boundary": (_cmd_boundary, "distinguished boundary and peak probe", {
+        "--point": (str, ...)}),
+    "auto": (_cmd_auto, "automorphism actions", {
+        "--op": (("diamond", "left", "right", "flip", "normalize"), ...),
+        "--x": (str, None), "--y": (str, None),
+        "--omega": (str, None), "--alpha": (str, None)}),
+    "verify": (_cmd_verify, "re-verify a stored interpolant", {
+        "--interpolant": (str, ...), "--samples": (int, 500), "--seed": (int, 0)}),
 }
+_HANDLERS = {cmd: handler for cmd, (handler, _, _) in _COMMANDS.items()}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # values, though they start with "-"
+
+
+def _option(spec, arg):
+    """How argparse reads arg: None for a value, else (option or None, "=" text or None)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "h":  # -hh and -h=h are -h too; -hx and -h= are errors
+        return "--help", (None if re.fullmatch(r"-h(=?h+)?", arg) else arg[2:])
+    if arg[1] == "-":
+        name, eq, text = arg.partition("=")
+        names = [o for o in ("--help", *spec) if o.startswith(name)]
+        if len(names) > 1 and name not in names:
+            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(names)}")
+        if names:
+            return (name if name in names else names[0]), (text if eq else None)
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _value(name, kind, text):
+    """The value of option name from its text (None if it has none)."""
+    if (kind is bool) != (text is None):
+        raise _UsageError(f"argument {name}: " + (f"ignored explicit argument {text!r}"
+                          if kind is bool else "expected one argument"))
+    if isinstance(kind, tuple) and text not in kind:
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} "
+                          f"(choose from {', '.join(map(repr, kind))})")
+    try:
+        return True if kind is bool else text if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise _UsageError(
+            f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def _help(cmd) -> str:
+    """The usage of tetra (cmd None) or of one subcommand, then its help."""
+    _, about, spec = _COMMANDS[cmd] if cmd else (None, __doc__, _TOP)
+    usage = [f"usage: tetra {cmd}" if cmd else "usage: tetra", "[-h]"]
+    for o, (kind, default) in spec.items():
+        metavar = o[2:].upper() if isinstance(kind, type) else "{%s}" % ",".join(kind)
+        o += "" if kind is bool else f" {metavar}"
+        usage.append(o if default is ... else f"[{o}]")
+    usage += [] if cmd else ["{%s} ..." % ",".join(_COMMANDS)]
+    return " ".join(usage) + f"\n\n{about.strip()}\n"
+
+
+def _parse_argv(argv) -> types.SimpleNamespace:
+    """argv read as argparse reads it, into "tol", "cmd" and cmd's options.
+    The first value names cmd and "--" ends the options; every argument is
+    classified before any is read, so an ambiguous option fails even after -h."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    values, extras, cmd, spec, k = {"tol": DEFAULT_TOL}, [], None, _TOP, 0
+    kinds = [_option(spec, arg) for arg in itertools.takewhile("--".__ne__, args)]
+    while k < len(kinds):
+        name, text = kinds[k] or (None, None)
+        kind, k = spec.get(name, (bool,))[0], k + 1  # --help is a flag
+        if kinds[k - 1] is None and not cmd:
+            cmd = values["cmd"] = _value("cmd", tuple(_COMMANDS), args[k - 1])
+            spec, args, k = _COMMANDS[cmd][2], args[k:], 0
+            values.update((o[2:].replace("-", "_"), None if default is ... else default)
+                          for o, (_, default) in spec.items())
+            kinds = [_option(spec, arg) for arg in itertools.takewhile("--".__ne__, args)]
+        elif name is None:
+            extras.append(args[k - 1])
+        elif name == "--help" and text is None:
+            sys.stdout.write(_help(cmd))
+            raise SystemExit(0)
+        else:
+            if text is None and kind is not bool and kinds[k:k + 1] == [None]:
+                text, k = args[k], k + 1
+            values[name[2:].replace("-", "_")] = _value(name, kind, text)
+    missing = [o for o, (_, d) in spec.items()
+               if d is ... and values[o[2:].replace("-", "_")] is None]
+    if missing or not cmd:
+        raise _UsageError("the following arguments are required: "
+                          + (", ".join(missing) or "cmd"))
+    if extras or args[len(kinds):]:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras + args[len(kinds):]))
+    return types.SimpleNamespace(**values)
 
 
 def run(argv=None) -> int:
     """Parse argv, execute one subcommand, print its JSON document."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_argv(argv)
         out, code = _HANDLERS[args.cmd](args, args.tol)
     except (_UsageError, TetraError, ValueError, OSError) as exc:
         _emit({"error": {"type": exc.__class__.__name__, "message": str(exc)}},

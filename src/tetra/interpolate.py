@@ -430,7 +430,7 @@ class Interpolant:
         t = _payload_complex(payload.get("t", [0.0, 0.0]), "t")
         if variant == "sigma_family":
             sigma = payload.get("sigma")
-            if not isinstance(sigma, (int, float)):
+            if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
                 raise BadPayload(f"payload entry 'sigma' is not a number: {sigma!r}")
             phi = solve_with_sigma(l0, x, sigma)
         else:
@@ -459,7 +459,7 @@ def _payload_list(v, n: int, key: str) -> list:
 def _payload_complex(v, key: str) -> complex:
     """A complex number stored as an [re, im] pair of finite JSON numbers."""
     if not all(
-        isinstance(c, (int, float)) and math.isfinite(c)
+        isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
         for c in _payload_list(v, 2, key)
     ):
         raise BadPayload(f"payload entry {key!r} is not a finite [re, im] pair: {v!r}")

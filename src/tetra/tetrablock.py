@@ -49,12 +49,15 @@ DEFAULT_TOL = 1e-9
 
 
 def as_cpoint3(x) -> CPoint3:
-    """Coerce to a tuple of three finite complex scalars."""
+    """Coerce to a tuple of three complex scalars of finite modulus."""
     x1, x2, x3 = x
     x1, x2, x3 = complex(x1), complex(x2), complex(x3)
-    if not (cmath.isfinite(x1) and cmath.isfinite(x2) and cmath.isfinite(x3)):
-        raise NonFinite("point coordinates must be finite")
-    return (x1, x2, x3)
+    try:  # abs raises OverflowError where finite parts have no finite modulus
+        if abs(x1) < math.inf and abs(x2) < math.inf and abs(x3) < math.inf:
+            return (x1, x2, x3)
+    except OverflowError:
+        pass
+    raise NonFinite("point coordinates must have finite moduli")
 
 
 def is_triangular(x) -> bool:

@@ -1,8 +1,12 @@
+import argparse
+import contextlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import jsonschema
@@ -18,9 +22,9 @@ from tetra.errors import (
     BadPayload, BadSamples, BadTolerance, NonFinite, NotUnimodular, TetraError,
 )
 from tetra.interpolate import Interpolant, solve_schwarz, verify_interpolant
-from tetra.tetrablock import as_cpoint3, membership_grid_oracle
+from tetra.tetrablock import DEFAULT_TOL, as_cpoint3, membership_grid_oracle
 
-from test_readme_examples import GOLDEN, run_examples
+from test_readme_examples import GOLDEN, ROOT, readme_examples, run_examples
 
 SCHEMAS = {}
 for name in (
@@ -283,6 +287,9 @@ _SIGMA = {"variant": "sigma_family", "lambda0": [-0.6, 0.0],
     {**_LINE, "Z": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
     _SIGMA,
     {**_SIGMA, "sigma": "1.1"},
+    {**_LINE, "lambda0": [True, 0.0]},
+    {**_LINE, "x": [[0.3, False], [0.0, 0.0], [0.05, 0.0]]},
+    {**_SIGMA, "sigma": True},
 ])
 def test_verify_rejects_a_malformed_payload(tmp_path, capsys, payload):
     solution = tmp_path / "solution.json"
@@ -423,6 +430,33 @@ def test_malformed_values_raise_typed_value_errors(capsys):
     assert json.loads(err)["error"]["type"] == "NonFinite"
 
 
+@pytest.mark.parametrize("argv", [
+    ("member", "--point", "[[1.5e308, 1.5e308], 0, 0]"),
+    ("dist", "--from", "[0.1, 0.2, [1.5e308, -1.5e308]]"),
+])
+def test_an_overflowing_coordinate_modulus_is_one_json_error(capsys, argv):
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "NonFinite"
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", "--point", "[true, false, 0]"),
+    ("member", "--point", "[[0.5, false], 0, 0]"),
+    ("mu", "--matrix", "[[true, 0], [0, 0]]"),
+    ("interp", "--lambda0", "false", "--point", "[0.5, 0.25, 0.5]"),
+])
+def test_json_booleans_are_not_numbers(capsys, argv):
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "ValueError"
+    assert "expected a number or [re, im] pair" in error["error"]["message"]
+
+
 def test_usage_error_is_machine_readable(capsys):
     rc, out, err = invoke(capsys, "member", "--point", "[2, 0, 0")
     assert rc == 1 and out == ""
@@ -438,16 +472,9 @@ def test_usage_error_is_machine_readable(capsys):
     assert json.loads(err3)["error"]["type"] == "_UsageError"
 
 
-def test_shared_parser_keeps_no_state_between_runs(tmp_path, capsys, monkeypatch):
-    parsers = []
-    parse_args = cli._Parser.parse_args
-
-    def recording_parse_args(self, *args, **kwargs):
-        parsers.append(self)
-        return parse_args(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "parse_args", recording_parse_args)
-
+def test_shared_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # one option table serves every run() in the process; no run leaves
+    # anything behind that changes the next
     def outcome(*argv):
         try:
             code = run(list(argv))
@@ -469,8 +496,6 @@ def test_shared_parser_keeps_no_state_between_runs(tmp_path, capsys, monkeypatch
     assert first == [outcome(*argv) for argv in calls]
     assert [code for code, _, _ in first] == [1, 1, ("SystemExit", 0), 1, 0]
     assert first[2][1].startswith("usage: tetra")
-    assert len(parsers) == 2 * (len(readme) + len(calls))
-    assert all(p is parsers[0] for p in parsers)
 
 
 def test_output_is_deterministic(capsys):
@@ -500,6 +525,259 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_argparse_unloaded():
+    # the CLI reads argv from its own option table, so a fresh process that
+    # imports it loads neither argparse nor the gettext and locale it pulls in
+    probe = ("import sys, tetra.cli; "
+             "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# --- the argv parser -----------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises instead of exiting, so run() owns exit codes."""
+
+    def error(self, message):
+        raise cli._UsageError(message)
+
+
+def _build_parser() -> _Parser:
+    """The argparse parser the CLI used before its option table, kept as
+    the oracle for cli._parse_argv."""
+    p = _Parser(prog="tetra", description=__doc__)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"margin tolerance (default: {DEFAULT_TOL})")
+    sub = p.add_subparsers(dest="cmd", required=True)
+
+    m = sub.add_parser("member", help="membership report for a point")
+    m.add_argument("--point", required=True)
+    m.add_argument("--closed", action="store_true")
+    m.add_argument("--oracle-grid", type=int, default=None)
+
+    d = sub.add_parser("dist", help="invariant distance")
+    d.add_argument("--from", required=True)
+    d.add_argument("--to", default=None)
+
+    i = sub.add_parser("interp", help="two-point interpolation from the origin")
+    i.add_argument("--lambda0", required=True)
+    i.add_argument("--point", required=True)
+    i.add_argument("--sigma", type=float, default=None)
+    i.add_argument("--t", default=None)
+    i.add_argument("--samples", type=int, default=200)
+    i.add_argument("--seed", type=int, default=None)
+
+    u = sub.add_parser("mu", help="structured singular value")
+    u.add_argument("--matrix", required=True)
+    u.add_argument("--oracle", action="store_true")
+
+    s = sub.add_parser("synth", help="two-point mu-synthesis")
+    s.add_argument("--lambda0", required=True)
+    s.add_argument("--a1", required=True)
+    s.add_argument("--a2", required=True)
+
+    b = sub.add_parser("boundary", help="distinguished boundary and peak probe")
+    b.add_argument("--point", required=True)
+
+    a = sub.add_parser("auto", help="automorphism actions")
+    a.add_argument("--op", required=True,
+                   choices=["diamond", "left", "right", "flip", "normalize"])
+    a.add_argument("--x", default=None)
+    a.add_argument("--y", default=None)
+    a.add_argument("--omega", default=None)
+    a.add_argument("--alpha", default=None)
+
+    v = sub.add_parser("verify", help="re-verify a stored interpolant")
+    v.add_argument("--interpolant", required=True)
+    v.add_argument("--samples", type=int, default=500)
+    v.add_argument("--seed", type=int, default=0)
+    return p
+
+
+_REFERENCE = _build_parser()
+_SUBPARSERS = next(
+    a for a in _REFERENCE._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+def _outcome(parse, argv):
+    """("accepted", repr of the attributes), ("rejected",) or ("help", exit
+    code, whether stdout starts with the usage line)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            ns = parse(list(argv))
+    except cli._UsageError:
+        return ("rejected",)
+    except SystemExit as exc:
+        return "help", exc.code, out.getvalue().startswith("usage: tetra")
+    return "accepted", repr(vars(ns))
+
+
+def _agree(argv):
+    expected = _outcome(_REFERENCE.parse_args, argv)
+    assert _outcome(cli._parse_argv, argv) == expected, argv
+    return expected[0]
+
+
+# values of every kind: well-formed ones, ones the option's type refuses,
+# both kinds of negative number, and strings that look like options
+_GOOD = {
+    None: ["[0.5, 0.25, 0.5]", "[[0, 0.3], 0.1, 0]", "0.7", "[[0,1],[0,0]]", "s.json",
+           "-0.5", "-1e-3"],
+    int: ["60", "0", "7", " 12 ", "1_0", "-3"],
+    float: ["1.1", "0", "1e-3", "nan", ".5", "-.5", "-2", "-inf"],
+}
+_EQUALS_ONLY = ("-1e-3", "-inf")  # the values that must follow an "="
+_ANY = [
+    "-2", "-0.5", "-.5", "-1e-3", "-inf", "-1.", "-x", "-1 2", "--x y", "", "-",
+    "abc", "1.5", "bogus", "DIAMOND", "a=b", "--", "-h", "--help", "--bogus",
+]
+_NOISE = [
+    ("--",), ("-h",), ("--help",), ("--he",), ("--bogus",), ("--bogus", "1"), ("-x",),
+    ("-0.5",), ("-1e-3",), ("stray",), ("--tol", "1e-3"), ("--to", "1e-3"),
+    ("--closed=1",), ("--=x",), ("-hh",), ("-hx",), ("-h=h",), ("--help=x",),
+]
+
+
+def _spellings(option, parser):
+    """The spellings of option: its name and unique prefixes, then its
+    ambiguous prefixes (such as interp's --s)."""
+    names = [o for a in parser._actions for o in a.option_strings]
+    prefixes = [option[:n] for n in range(3, len(option))]
+    ambiguous = [p for p in prefixes if sum(o.startswith(p) for o in names) > 1]
+    return [option] + [p for p in prefixes if p not in ambiguous], ambiguous
+
+
+_HEADS = [("--tol", "1e-6"), ("--tol=-1e-3",), ("--tol", "-1"), ("--to", "nan"), ("--t=0",),
+          ("--tol", "1", "--tol=2")]
+_BAD_HEADS = [("--tol", "-inf"), ("--tol",), ("--tol", "x"), ("-h",), ("--bogus",), ("--",)]
+
+
+@st.composite
+def _argvs(draw):
+    """Half well-formed argv (any spelling, form, order and repeat an option
+    allows), half argv with faults drawn from every kind argparse tells
+    apart."""
+    clean = draw(st.booleans())
+    head = draw(st.sampled_from([()] * 6 + _HEADS + ([] if clean else _BAD_HEADS * 2)))
+    cmd = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    parser = _SUBPARSERS[cmd]
+    pieces = []
+    for action in parser._actions[1:]:
+        if not draw(st.floats(0, 1)) < (1.0 if action.required and clean else
+                                         0.9 if action.required else 0.4):
+            continue
+        option = action.option_strings[0]
+        good, ambiguous = _spellings(option, parser)
+        spelling = draw(st.sampled_from([option] * 3 + good + ([] if clean else ambiguous)))
+        if action.nargs == 0:
+            pieces.append((spelling,))
+            continue
+        values = list(action.choices or _GOOD.get(action.type, _GOOD[None]))
+        value = draw(st.sampled_from(values if clean else values * 2 + _ANY))
+        # argparse reads --point=-- as the empty list, a defect the table
+        # does not copy (test_an_equals_double_dash_is_a_value)
+        forms = ["space", "equals"] + ([] if clean else ["missing"])
+        if value == "--":
+            forms.remove("equals")
+        elif clean and value in _EQUALS_ONLY:
+            forms = ["equals"]
+        form = draw(st.sampled_from(forms))
+        pieces.append({"space": (spelling, value), "equals": (f"{spelling}={value}",),
+                       "missing": (spelling,)}[form])
+    pieces = draw(st.permutations(pieces))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # repeats, and faults
+        extra = draw(st.sampled_from(pieces or _NOISE) if clean else st.sampled_from(_NOISE))
+        pieces.insert(draw(st.integers(0, len(pieces))), extra)
+    return [*head, cmd] + [a for piece in pieces for a in piece]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_argv_parser_matches_argparse_reference(argv):
+    _agree(argv)
+
+
+def test_argv_parser_matches_argparse_on_the_readme_and_benchmark_argv(tmp_path):
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from tetrabench.workloads import CliMix
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    argvs = [shlex.split(example)[1:] for example in readme_examples()]
+    argvs += [op[1] for seed in (1, 2, 3) for op in CliMix(seed, tmp_path).pool]
+    outcomes = Counter(_agree(argv) for argv in argvs)
+    assert outcomes == {"accepted": len(argvs)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--to", "1e-3", "member", "--poi", "[1, 0, 0]", "--clo"),
+    ("interp", "--lambda0", "-0.5", "--point=[0.5, 0.25, 0.5]", "--seed", "-2"),
+    ("interp", "--lambda0=-1e-3", "--point", "[0, 0, 0]", "--t", "-.5"),
+    ("auto", "--op", "left", "--op", "flip", "--x", "[0.1, 0.2, 0.02]"),
+    ("--tol=-inf", "mu", "--matrix", "[[0,1],[0,0]]", "--oracle"),
+])
+def test_argv_parser_accepts_what_argparse_accepts(argv):
+    assert _agree(argv) == "accepted"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("interp", "--s", "1"), "ambiguous option: --s could match --sigma, --samples, --seed"),
+    (("interp", "--lambda0", "-1e-3", "--point", "[0, 0, 0]"),
+     "argument --lambda0: expected one argument"),
+    (("member", "--point", "-inf"), "argument --point: expected one argument"),
+    (("member", "--closed=1", "--point", "[0, 0, 0]"),
+     "argument --closed: ignored explicit argument '1'"),
+    (("member",), "the following arguments are required: --point"),
+    ((), "the following arguments are required: cmd"),
+    (("member", "--point", "[0, 0, 0]", "--tol", "1e-3"),
+     "unrecognized arguments: --tol 1e-3"),
+    (("verify", "--interpolant", "s.json", "--samples", "many"),
+     "argument --samples: invalid int value: 'many'"),
+    (("--tol", "small", "member"), "argument --tol: invalid float value: 'small'"),
+    (("auto", "--op", "spin"), "argument --op: invalid choice: 'spin' (choose from "
+     "'diamond', 'left', 'right', 'flip', 'normalize')"),
+    (("bogus",), "argument cmd: invalid choice: 'bogus' (choose from 'member', 'dist', "
+     "'interp', 'mu', 'synth', 'boundary', 'auto', 'verify')"),
+])
+def test_argv_parser_refuses_with_argparse_wording(capsys, argv, message):
+    assert _agree(argv) == "rejected"
+    assert run(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"] == {"type": "_UsageError", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("--help",), ("--he",), ("--tol", "1", "-h", "--bogus"),
+    ("member", "-h"), ("interp", "--point", "[0, 0, 0]", "--help"), ("auto", "--bogus", "-h"),
+])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert _agree(argv) == "help"
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tetra" + (f" {argv[0]}" if argv[0] in _SUBPARSERS else ""))
+
+
+def test_an_equals_double_dash_is_a_value(capsys):
+    # argparse reads --point=-- as the empty list, which the handler then
+    # fails on with a traceback; the table reads the text "--", which is
+    # not JSON, so the command exits 1 with one error document
+    assert vars(_REFERENCE.parse_args(["boundary", "--point=--"]))["point"] == []
+    assert cli._parse_argv(["boundary", "--point=--"]).point == "--"
+    rc, out, err = invoke(capsys, "boundary", "--point=--")
+    assert rc == 1 and out == ""
+    jsonschema.validate(json.loads(err), SCHEMAS["error"])
 
 
 # --- the document writer -------------------------------------------------

@@ -16,9 +16,10 @@ from tetra.errors import (
     BadBeta, BadLambda, BadShape, BadTolerance, InfeasiblePick, NonFinite, OutsideDisc,
 )
 from tetra.interpolate import scalar_np2, solve_schwarz, verify_interpolant
+from tetra.metrics import dist_triangular_pair
 from tetra.musyn import bft_lower_bound, synth_two_point_general
 from tetra.tetrablock import (
-    GeodesicDisc, criterion_max, d_of, geodesic_eval, in_distinguished_boundary,
+    GeodesicDisc, as_cpoint3, criterion_max, d_of, geodesic_eval, in_distinguished_boundary,
     is_triangular, membership, psi, upsilon_fn,
 )
 
@@ -28,6 +29,7 @@ TRI = (0.3, 0.2, 0.06)
 UPPER = [[0.3, 0.1], [0.0, 0.2]]
 FULL = [[0.3, 0.1], [0.2, 0.2]]
 PHI = solve_schwarz(-0.9, X)
+BIG = complex(1.5e308, 1.5e308)
 
 CASES = [
     (lambda: pseudohyperbolic(NAN, 0.2), OutsideDisc),
@@ -57,6 +59,10 @@ CASES = [
     (lambda: d_of((0.5, math.inf, 0.5)), NonFinite),
     (lambda: criterion_max((0.5, 0.25, complex(NAN, 0.1))), NonFinite),
     (lambda: in_distinguished_boundary((-math.inf, 0.25, 0.5)), NonFinite),
+    # finite parts whose modulus overflows are no more a point than an inf
+    (lambda: membership((BIG, 0.0, 0.0)), NonFinite),
+    (lambda: criterion_max((0.0, BIG, 0.0)), NonFinite),
+    (lambda: dist_triangular_pair((0.1, 0.2, 0.02), (0.0, 0.0, BIG)), NonFinite),
 ]
 
 
@@ -64,3 +70,8 @@ CASES = [
 def test_a_nan_argument_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_point_of_large_but_finite_moduli_is_a_point():
+    x = (1e300, complex(1e300, 1e300), 1.7e308)
+    assert as_cpoint3(x) == tuple(complex(c) for c in x)

@@ -32,13 +32,7 @@ from .interpolate import (
     uv_vectors,
     verify_interpolant,
 )
-from .linalg import (
-    inv2,
-    mobius_matricial,
-    op_norm,
-    pi_map,
-    sqrt_psd,
-)
+from .linalg import op_norm, pi_map
 from .metrics import (
     dist_from_origin,
     dist_triangular_pair,
@@ -76,7 +70,7 @@ __all__ = [
     "__version__",
     "TetraError",
     # linear algebra
-    "inv2", "mobius_matricial", "op_norm", "pi_map", "sqrt_psd",
+    "op_norm", "pi_map",
     # domain
     "GeodesicDisc", "MembershipReport", "beta_params",
     "construct_matrix_rep", "criterion_max", "d_of", "geodesic_eval",

@@ -54,10 +54,13 @@ class _UsageError(Exception):
 
 
 def _as_complex_entry(v) -> complex:
-    if type(v) in (int, float):  # a JSON true or false is no number
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(type(c) in (int, float) for c in v):
-        return complex(v[0], v[1])
+    try:
+        if type(v) in (int, float):  # a JSON true or false is no number
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(type(c) in (int, float) for c in v):
+            return complex(v[0], v[1])
+    except OverflowError:  # an integer past the float range
+        pass
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
@@ -171,7 +174,7 @@ def _cmd_member(args, tol: float):
         },
         "provenance": _provenance(tol),
     }
-    if args.oracle_grid:
+    if args.oracle_grid is not None:
         out["oracle"] = membership_grid_oracle(
             x, closed=args.closed, n=args.oracle_grid
         )
@@ -217,7 +220,7 @@ def _cmd_interp(args, tol: float):
         if args.sigma is not None:
             phi = solve_with_sigma(l0, x, args.sigma)
         else:
-            t = _as_complex_entry(json.loads(args.t)) if args.t else 0.0
+            t = _as_complex_entry(json.loads(args.t)) if args.t is not None else 0.0
             phi = solve_schwarz(l0, x, t=t)
     except Infeasible:
         base["feasible"] = False

@@ -12,10 +12,6 @@ class TetraError(Exception):
 
 # --- linear algebra kernel ---------------------------------------------------
 
-class NotPSD(TetraError):
-    """A matrix expected to be positive semidefinite has a negative eigenvalue."""
-
-
 class NormTooLarge(TetraError):
     """An operator-norm precondition (typically ``< 1``) was violated."""
 

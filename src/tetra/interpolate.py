@@ -201,7 +201,7 @@ def _choose_alpha(h11: float, h12: complex, h22: float) -> tuple[complex, comple
     its least eigenvalue (h11 + h22)/2 - hypot((h11 - h22)/2, |h12|), the
     rows of H - lam I give the eigenvectors (h12, lam - h11) and (lam - h22,
     conj h12); the longer is taken, or e1 when both vanish (H = lam I)."""
-    lam = _herm2_spectrum(h11, h12, h12.conjugate(), h22)[2][0]
+    lam = _herm2_spectrum(h11, h12, h12.conjugate(), h22)[0]
     if lam > _ALPHA_TOL:
         raise PositiveDefinite(
             f"min eigenvalue {lam:.3e} > {_ALPHA_TOL:.1e}: no admissible alpha"
@@ -458,12 +458,15 @@ def _payload_list(v, n: int, key: str) -> list:
 
 def _payload_complex(v, key: str) -> complex:
     """A complex number stored as an [re, im] pair of finite JSON numbers."""
-    if not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
-        for c in _payload_list(v, 2, key)
-    ):
-        raise BadPayload(f"payload entry {key!r} is not a finite [re, im] pair: {v!r}")
-    return complex(*v)
+    try:
+        if all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+            for c in _payload_list(v, 2, key)
+        ):
+            return complex(*v)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise BadPayload(f"payload entry {key!r} is not a finite [re, im] pair: {v!r}")
 
 
 def _per_point(v):
@@ -634,7 +637,10 @@ def solve_with_sigma(lam0, x, sigma) -> Interpolant:
     [[a, sigma w], [lambda0 w / sigma, b]].  Requires xi1 < sigma^2 < xi2."""
     l0 = _check_lambda0(lam0)
     xp = as_cpoint3(x)
-    sig = float(sigma)
+    try:
+        sig = float(sigma)
+    except OverflowError:  # an integer past the float range
+        sig = math.inf if sigma > 0 else -math.inf
     if not sig > 0.0:
         raise SigmaOutOfRange(f"sigma must be positive, got {sigma}")
     params = all_solutions_params(l0, xp)

@@ -1,14 +1,12 @@
 """2x2 complex matrix kernel.
 
-Everything downstream works with 2x2 complex matrices: Schur-class values,
-matrix representatives of tetrablock points, and the matricial Moebius
-transformation of the operator unit ball.  This module keeps all of that in
-closed form — singular values and Hermitian eigenvalues from one formula
-(:func:`_sv2`), the PSD square root of a 2x2 Hermitian matrix, and the Moebius
-map itself — so no general-purpose eigensolver sits on the hot path.
+Everything downstream works with 2x2 complex matrices: Schur-class values and
+matrix representatives of tetrablock points.  This module keeps them in closed
+form — singular values and Hermitian eigenvalues from one formula
+(:func:`_sv2`) — so no general-purpose eigensolver sits on the hot path.
 
 A ``CMat2`` is simply a (2, 2) complex ``numpy`` array; ``CVec2`` a length-2
-complex array.  Helpers below validate and coerce.  ``op_norm``, ``inv2`` and
+complex array.  Helpers below validate and coerce.  ``op_norm`` and
 ``pi_map`` also take an (n, 2, 2) stack, and give for each of its matrices
 exactly what they give for that matrix alone.
 """
@@ -20,13 +18,10 @@ import operator
 
 import numpy as np
 
-from .errors import BadShape, NormTooLarge, NotPSD
+from .errors import BadShape, NormTooLarge
 
 CMat2 = np.ndarray
 CVec2 = np.ndarray
-
-_I2 = np.eye(2)
-_PSD_TOL = 1e-10   # sqrt_psd's allowance for a negative eigenvalue
 
 
 def mat2(a11, a12, a21, a22) -> CMat2:
@@ -179,48 +174,13 @@ def _require_contraction(Z, note: str = "") -> None:
         raise NormTooLarge(f"op_norm(Z) = {n:.6f} >= 1{note}")
 
 
-def herm_part(P) -> CMat2:
-    """Hermitian symmetrisation (P + P*)/2."""
-    M = as_cmat2(P)
-    return (M + M.conj().T) / 2.0
-
-
-def sqrt_psd(P) -> CMat2:
-    """Hermitian square root of a PSD 2x2 matrix.
-
-    Generic branch is the closed form
-    ``sqrt(P) = (P + sqrt(det P) I) / sqrt(trace P + 2 sqrt(det P))`` of
-    :func:`_root_scalars`; when the denominator degenerates (P near zero) a
-    spectral fallback is used.  Raises :class:`NotPSD` if the symmetrised
-    input has an eigenvalue below -1e-10.
-    """
-    H = herm_part(P)
-    tr, det, (lo, _) = _herm2_spectrum(*_entries(H))
-    if lo < -_PSD_TOL:
-        raise NotPSD(f"matrix has eigenvalue {lo:.3e} < -{_PSD_TOL:.1e}")
-    sdet, t = _root_scalars(tr, det)
-    if t < 1e-7:
-        # spectral fallback for matrices within rounding of zero
-        w, V = np.linalg.eigh(H)
-        w = np.clip(w, 0.0, None)
-        return (V * np.sqrt(w)) @ V.conj().T
-    S = (H + sdet * _I2) / t
-    return herm_part(S)
-
-
-def _root_scalars(tr: float, det: float) -> tuple[float, float]:
-    """s = sqrt(det P) and t = sqrt(tr P + 2 s) of a PSD 2x2 P, whose square
-    root is then (P + s I)/t."""
-    s = math.sqrt(max(det, 0.0))
-    return s, math.sqrt(max(tr + 2.0 * s, 0.0))
-
-
 def _isqrt_times(p11: float, p12: complex, p22: float, det: float, x1, x2):
     """P^{-1/2} (x1, x2) for the positive definite P = [[p11, p12],
     [conj p12, p22]] of determinant det, in plain scalar arithmetic: with
-    R = P + s I = t P^{1/2} (:func:`_root_scalars`), P^{-1/2} = t adj(R)/det R,
-    det R (= s t^2) taken from R's entries as inv2(sqrt_psd(P)) takes it."""
-    s, t = _root_scalars(p11 + p22, det)
+    s = sqrt(det P) and t = sqrt(tr P + 2 s), R = P + s I = t P^{1/2}, so
+    P^{-1/2} = t adj(R)/det R, det R taken from R's entries."""
+    s = math.sqrt(max(det, 0.0))
+    t = math.sqrt(max(p11 + p22 + 2.0 * s, 0.0))
     r11, r22 = p11 + s, p22 + s
     d = (r11 * r22 - _abs2(p12)) / t
     return (r22 * x1 - p12 * x2) / d, (r11 * x2 - p12.conjugate() * x1) / d
@@ -229,36 +189,6 @@ def _isqrt_times(p11: float, p12: complex, p22: float, det: float, x1, x2):
 def _abs2(z: complex) -> float:
     """|z|^2 of a complex scalar, without the square root of abs."""
     return z.real * z.real + z.imag * z.imag
-
-
-def inv2(A) -> CMat2:
-    """Inverse of a 2x2 matrix, or of each matrix in an (n, 2, 2) stack,
-    via the adjugate formula."""
-    M = as_cmat2(A, stack=True)
-    m11, m12, m21, m22 = _entries(M)
-    det = _det(m11, m12, m21, m22)
-    if np.count_nonzero(det == 0):
-        raise BadShape("matrix is singular")
-    adj = np.empty_like(M)
-    adj[..., 0, 0] = m22
-    adj[..., 0, 1] = -m12
-    adj[..., 1, 0] = -m21
-    adj[..., 1, 1] = m11
-    return adj / np.asarray(det)[..., None, None]
-
-
-def mobius_matricial(Z, X) -> CMat2:
-    """Matricial Moebius transformation of the 2x2 operator unit ball.
-
-    ``M_Z(X) = (1 - Z Z*)^{-1/2} (X - Z) (1 - Z* X)^{-1} (1 - Z* Z)^{1/2}``.
-    Requires ``op_norm(Z) < 1``; maps the closed unit ball into itself and is
-    inverted by ``M_{-Z}``.
-    """
-    Zm, Xm = as_cmat2(Z), as_cmat2(X)
-    _require_contraction(Zm)
-    Zs = Zm.conj().T
-    isqrt_w = inv2(sqrt_psd(_I2 - Zm @ Zs))
-    return isqrt_w @ (Xm - Zm) @ inv2(_I2 - Zs @ Xm) @ sqrt_psd(_I2 - Zs @ Zm)
 
 
 def _right_const(G, C):
@@ -279,19 +209,18 @@ def pi_map(A) -> tuple:
 
 
 def _herm2_spectrum(h11, h12, h21, h22):
-    """(trace, determinant, (eigenvalues ascending)) of the Hermitian 2x2
-    [[h11, h12], [h21, h22]]; the eigenvalues are tr/2 -+ hypot((h11 -
-    h22)/2, |h12|), the q of :func:`_sv2` at phi = 1."""
+    """Eigenvalues (ascending) of the Hermitian 2x2 [[h11, h12], [h21, h22]]:
+    tr/2 -+ hypot((h11 - h22)/2, |h12|), the q of :func:`_sv2` at phi = 1."""
     h11, h12, h21, h22 = complex(h11), complex(h12), complex(h21), complex(h22)
     tr = h11.real + h22.real
-    det = (h11 * h22 - h12 * h21).real
     q = _halves(h11, h12, h21, h22, 1.0)[1]
-    return tr, det, (tr / 2.0 - q, tr / 2.0 + q)
+    return tr / 2.0 - q, tr / 2.0 + q
 
 
 def eigvals_herm2(H) -> tuple[float, float]:
     """Eigenvalues (ascending) of a 2x2 Hermitian matrix, closed form."""
-    return _herm2_spectrum(*_entries(herm_part(H)))[2]
+    M = as_cmat2(H)
+    return _herm2_spectrum(*_entries((M + M.conj().T) / 2.0))
 
 
 def principal_sqrt(z) -> complex:

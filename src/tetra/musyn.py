@@ -268,8 +268,8 @@ def lift_to_sigma(phi):
 
 def _bft_norm(Lh, Lh_inv, mats) -> float:
     """Norm of the compressed commutant operator with blocks mats[j] at the
-    Szego-kernel span over the nodes, via the Gram-weighted similarity by
-    Lh = L*, L the Cholesky factor of the nodes' Gram matrix."""
+    Szego-kernel span over the nodes, via the similarity by Lh = L*, L the
+    Cholesky factor of the nodes' Gram matrix."""
     n = len(mats)
     B = np.zeros((2 * n, 2 * n), dtype=complex)
     for j, F in enumerate(mats):
@@ -309,8 +309,8 @@ def bft_lower_bound(points, targets) -> float:
     if n == 1:
         return mu_scaling_oracle(mats[0])
 
-    # golden section on log d_1 between the grid neighbours of the best
-    # grid point, on log d_2 over [-18, 18]: the wide ranges let the
+    # golden section on log d_1 between the grid points either side of the
+    # best one, on log d_2 over [-18, 18]: the wide ranges let the
     # scaling of a triangular target shrink its corner to e^-18 of its size.
     grid = np.linspace(-6.0, 6.0, 41)
     # the Szego Gram matrix (kron I2) depends on the nodes only: built once

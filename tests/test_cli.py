@@ -290,6 +290,8 @@ _SIGMA = {"variant": "sigma_family", "lambda0": [-0.6, 0.0],
     {**_LINE, "lambda0": [True, 0.0]},
     {**_LINE, "x": [[0.3, False], [0.0, 0.0], [0.05, 0.0]]},
     {**_SIGMA, "sigma": True},
+    {**_LINE, "lambda0": [10 ** 400, 0.0]},
+    {**_LINE, "x": [[0.3, 0.0], [0.0, 0.0], [0.05, -(10 ** 400)]]},
 ])
 def test_verify_rejects_a_malformed_payload(tmp_path, capsys, payload):
     solution = tmp_path / "solution.json"
@@ -345,6 +347,22 @@ def test_audit_needs_a_sample(tmp_path, capsys, samples):
         error = json.loads(err)
         jsonschema.validate(error, SCHEMAS["error"])
         assert error["error"]["type"] == "BadSamples"
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (("interp", "--lambda0", "[-0.9, 0]", "--point", "[0.5, 0.25, 0.5]", "--t", ""),
+     "JSONDecodeError"),
+    (("member", "--point", "[0.5, 0.25, 0.5]", "--oracle-grid", "0"), "BadSamples"),
+    (("member", "--point", "[0.5, 0.25, 0.5]", "--oracle-grid", "1"), "BadSamples"),
+    (("member", "--point", "[0.5, 0.25, 0.5]", "--oracle-grid", "-5"), "BadSamples"),
+])
+def test_an_empty_or_zero_value_is_not_an_absent_option(capsys, argv, kind):
+    # `--t ""` and `--oracle-grid 0` are given values, read like any other
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == kind
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -447,6 +465,11 @@ def test_an_overflowing_coordinate_modulus_is_one_json_error(capsys, argv):
     ("member", "--point", "[[0.5, false], 0, 0]"),
     ("mu", "--matrix", "[[true, 0], [0, 0]]"),
     ("interp", "--lambda0", "false", "--point", "[0.5, 0.25, 0.5]"),
+    # nor is an integer past the float range
+    ("member", "--point", f"[{10 ** 400}, 0, 0]"),
+    ("mu", "--matrix", f"[[[0, {10 ** 400}], 0], [0, 0]]"),
+    ("dist", "--from", "[0.1, 0, 0]", "--to", f"[0, -{10 ** 400}, 0]"),
+    ("interp", "--lambda0", str(10 ** 400), "--point", "[0.5, 0.25, 0.5]"),
 ])
 def test_json_booleans_are_not_numbers(capsys, argv):
     rc, out, err = invoke(capsys, *argv)

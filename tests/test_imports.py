@@ -8,6 +8,9 @@ A private module-level name (one leading underscore) is orphaned when no
 module of the library reads it: no load of the name, no attribute of that
 name and no ``from ... import`` of it.  Tests do not count as readers, so a
 deletion cannot leave a helper behind that only a test still calls.
+
+The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
+``LAPACK_SITES`` only, which keeps eigensolvers off the solve path.
 """
 import ast
 import pathlib
@@ -125,3 +128,56 @@ def test_the_check_sees_an_orphaned_private_name():
     assert orphaned_private_names(sources) == [
         "a.py line 2: _UNUSED", "b.py line 2: _Gone",
     ]
+
+
+# (module, top-level function, numpy.linalg routine): solve_schwarz's
+# extremal branch and the two-node commutant bound, whose norm is _bft_norm's
+LAPACK_SITES = {
+    ("interpolate.py", "solve_schwarz", "svd"),
+    ("musyn.py", "bft_lower_bound", "cholesky"),
+    ("musyn.py", "bft_lower_bound", "inv"),
+    ("musyn.py", "_bft_norm", "norm"),
+}
+
+
+def linalg_sites(module: str, source: str) -> set[tuple[str, str, str]]:
+    """Where a module reaches numpy.linalg: an ``np.linalg.<routine>``
+    attribute, a bare ``np.linalg`` (routine "linalg") or an import of
+    numpy.linalg or of a name from it (routine "import")."""
+    sites = set()
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        nodes = list(ast.walk(top))
+        bare = {n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "linalg"}
+        for n in nodes:
+            if isinstance(n, ast.Attribute) and n.value in bare:
+                bare.discard(n.value)
+                sites.add((module, where, n.attr))
+            elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                prefix = f"{n.module}." if isinstance(n, ast.ImportFrom) else ""
+                if any((prefix + a.name).startswith("numpy.linalg") for a in n.names):
+                    sites.add((module, where, "import"))
+        if bare:
+            sites.add((module, where, "linalg"))
+    return sites
+
+
+def test_numpy_linalg_is_reached_at_the_listed_sites_only():
+    assert set().union(*(linalg_sites(p.name, p.read_text()) for p in SRC)) == LAPACK_SITES
+
+
+def test_the_check_sees_a_linalg_site():
+    source = (
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "def root(H):\n"
+        "    w, V = np.linalg.eigh(H)\n"
+        "    return np.linalg\n"
+        "def solve(A):\n"
+        "    from numpy.linalg import inv\n"
+        "    return inv(A)\n"
+    )
+    assert linalg_sites("a.py", source) == {
+        ("a.py", "<module>", "import"), ("a.py", "root", "eigh"),
+        ("a.py", "root", "linalg"), ("a.py", "solve", "import"),
+    }

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tetra.errors import BadShape, NormTooLarge, NotPSD
+from tetra.errors import BadShape, NormTooLarge
 from tetra.interpolate import big_m
 from tetra.linalg import (
     _cdiv,
@@ -11,15 +11,11 @@ from tetra.linalg import (
     _require_contraction,
     as_cmat2,
     eigvals_herm2,
-    herm_part,
-    inv2,
     mat2,
-    mobius_matricial,
     op_norm,
     pi_map,
     principal_sqrt,
     smallest_singular_value,
-    sqrt_psd,
 )
 
 from conftest import random_unitary
@@ -27,6 +23,11 @@ from conftest import random_unitary
 
 def random_mat(rng, scale=1.0):
     return scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+
+
+def random_herm(rng):
+    A = random_mat(rng)
+    return (A + A.conj().T) / 2.0
 
 
 def test_op_norm_matches_numpy(rng):
@@ -67,7 +68,7 @@ def test_spectral_kernel_is_accurate_near_repeated_values():
         elif i % 3 == 1:
             A = random_unitary(rng) + 1e-7 * random_mat(rng)
         else:
-            A = rng.uniform(-2.0, 2.0) * np.eye(2) + 1e-9 * herm_part(random_mat(rng))
+            A = rng.uniform(-2.0, 2.0) * np.eye(2) + 1e-9 * random_herm(rng)
         s = np.linalg.svd(A, compute_uv=False)
         tol = 8.0 * eps * s[0]
         assert abs(op_norm(A) - s[0]) <= tol, A
@@ -94,63 +95,13 @@ def test_as_cmat2_rejects_bad_shape():
         as_cmat2([1.0, 2.0])
 
 
-def test_inv2_adjugate(rng):
-    for _ in range(200):
-        A = random_mat(rng)
-        if abs(np.linalg.det(A)) < 1e-6:
-            continue
-        assert np.allclose(inv2(A) @ A, np.eye(2), atol=1e-10)
-    with pytest.raises(BadShape):
-        inv2(mat2(1, 2, 2, 4))
-
-
-def test_herm_part(rng):
-    A = random_mat(rng)
-    H = herm_part(A)
-    assert np.allclose(H, H.conj().T)
-    assert np.allclose(H, (A + A.conj().T) / 2)
-
-
-def test_sqrt_psd_squares_back(rng):
-    for _ in range(300):
-        B = random_mat(rng)
-        P = B @ B.conj().T
-        R = sqrt_psd(P)
-        assert np.allclose(R @ R, P, atol=1e-8 * max(1.0, op_norm(P)))
-        assert np.allclose(R, R.conj().T, atol=1e-10)
-        assert eigvals_herm2(R)[0] >= -1e-10
-
-
-def test_sqrt_psd_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        sqrt_psd(np.diag([1.0, -1.0]))
-
-
 def test_eigvals_herm2_sorted(rng):
     for _ in range(200):
-        H = herm_part(random_mat(rng))
+        H = random_herm(rng)
         lo, hi = eigvals_herm2(H)
         ref = np.linalg.eigvalsh(H)
         assert lo == pytest.approx(ref[0], abs=1e-10)
         assert hi == pytest.approx(ref[1], abs=1e-10)
-
-
-def test_mobius_matricial_is_ball_automorphism(rng):
-    # M_Z maps the closed matrix ball to itself and sends Z to 0
-    for _ in range(100):
-        Z = random_mat(rng)
-        Z *= rng.uniform(0.05, 0.9) / op_norm(Z)
-        assert op_norm(mobius_matricial(Z, Z)) < 1e-10
-        for _ in range(10):
-            X = random_mat(rng)
-            X *= rng.uniform(0.0, 0.999) / op_norm(X)
-            assert op_norm(mobius_matricial(Z, X)) <= 1.0 + 1e-9
-
-
-def test_mobius_matricial_rejects_expansive():
-    Z = mat2(1.5, 0, 0, 0.2)
-    with pytest.raises(NormTooLarge):
-        mobius_matricial(Z, np.zeros((2, 2)))
 
 
 def test_pi_map():
@@ -193,7 +144,6 @@ def test_complex_kernels_round_like_python(rng):
 def test_kernels_on_stacks_match_single_matrices(rng):
     A = np.array([random_mat(rng, rng.uniform(0.1, 3.0)) for _ in range(300)])
     assert same_bits(op_norm(A), [op_norm(M) for M in A])
-    assert same_bits(inv2(A), [inv2(M) for M in A])
     x = pi_map(A)
     assert all(same_bits(c, [pi_map(M)[k] for M in A]) for k, c in enumerate(x))
     assert isinstance(op_norm(A[0]), float)

@@ -220,17 +220,15 @@ def _choose_alpha(h11: float, h12: complex, h22: float) -> tuple[complex, comple
 
 @dataclass(frozen=True)
 class SchwarzWorkspace:
-    """Frozen bundle of the interpolation data at one (lambda0, x):
-    the matrix Z (with optional off-diagonal scaling sigma), the pivot
-    M(|lambda0|), the chosen alpha and the vectors u, v.  ``build`` computes
-    them in scalar arithmetic on Z's four entries: the defects 1 - Z*Z and
-    1 - ZZ* once, M from their adjugates, alpha in closed form, and u, v
-    through the closed-form inverse square roots of the defects; the fields
-    are then stored as arrays."""
+    """Frozen bundle of the interpolation data at one (lambda0, x), in six
+    fields: lambda0, the matrix Z (with optional off-diagonal scaling sigma),
+    the pivot M(|lambda0|), the chosen alpha and the vectors u, v.  ``build``
+    computes them in scalar arithmetic on Z's four entries: the defects
+    1 - Z*Z and 1 - ZZ* once, M from their adjugates, alpha in closed form,
+    and u, v through the closed-form inverse square roots of the defects;
+    the fields are then stored as arrays."""
 
     lambda0: complex
-    x: CPoint3
-    w: complex
     Z: CMat2
     M: CMat2
     alpha: CVec2
@@ -256,7 +254,7 @@ class SchwarzWorkspace:
         if math.hypot(abs(u1), abs(u2)) < _U_TINY and abs(b) >= _B_ZERO:
             raise NumericalDegenerate("u(alpha) vanished with b != 0")
         return SchwarzWorkspace(
-            l0, (a, b, p), w, Z, mat2(m11, m12, m12.conjugate(), m22),
+            l0, Z, mat2(m11, m12, m12.conjugate(), m22),
             np.array(alpha), np.array([u1, u2]), np.array([v1, v2]),
         )
 
@@ -345,8 +343,8 @@ class Interpolant:
     the 2x2 matrix F(lam); given a 1-D array of n points they return the
     three coordinate arrays and the (n, 2, 2) stack of lifts.  Variants are
     ``scaled_line`` (triangular or b = 0 targets), ``mobius_blaschke``
-    (strict interior), ``svd_reduced`` (extremal boundary, carries the
-    scalar interpolant g), and ``sigma_family`` (the one-parameter family).
+    (strict interior), ``svd_reduced`` (extremal boundary, reduced to a
+    scalar two-point problem), and ``sigma_family`` (the one-parameter family).
     ``flipped`` records the coordinate flip applied when |x1| < |x2| (the
     lift is transposed and conjugated by the permutation matrix on the way
     out).  ``_lift``, the variant's lift, is built by the solver branch that
@@ -361,7 +359,6 @@ class Interpolant:
     u: CVec2 | None = None
     v: CVec2 | None = None
     sigma: float | None = None
-    scalar_g: object | None = None
     t: complex = 0j
     flipped: bool = False
     mode: str | None = None
@@ -580,8 +577,7 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
         g0 = 0j if abs(den) < 1e-13 else -num / den
         scalar = scalar_np2(0.0, g0, l0, s, t)
         return Interpolant(
-            variant="svd_reduced", lambda0=l0, x=xp, Z=Z,
-            scalar_g=scalar, t=t, flipped=flipped,
+            variant="svd_reduced", lambda0=l0, x=xp, Z=Z, t=t, flipped=flipped,
             _scalar_params=(0.0 + 0.0j, complex(g0), l0, complex(s), t),
             _lift=_Bound((_svd_lift, U, Vh, c, scalar)),
         )

@@ -2,7 +2,7 @@
 
 Everything downstream works with 2x2 complex matrices: Schur-class values and
 matrix representatives of tetrablock points.  This module keeps them in closed
-form — singular values and Hermitian eigenvalues from one formula
+form — the largest singular value and Hermitian eigenvalues from one formula
 (:func:`_sv2`) — so no general-purpose eigensolver sits on the hot path.
 
 A ``CMat2`` is simply a (2, 2) complex ``numpy`` array; ``CVec2`` a length-2
@@ -93,15 +93,14 @@ def _det(m11, m12, m21, m22):
 
 
 def _sv2(a, b, c, d):
-    """Singular values (largest, smallest) of the 2x2 matrix [[a, b], [c, d]].
+    """Largest singular value of the 2x2 matrix [[a, b], [c, d]].
 
     With phi = det/|det| (1 where det = 0) the matrix is p U + q V with U, V
     unitary and U* V a reflection, so the largest singular value is p + q,
     ``p = |(a + phi conj d, b - phi conj c)| / 2``,
-    ``q = |(a - phi conj d, b + phi conj c)| / 2``, and the smallest is
-    |det| / (p + q), 0 for the zero matrix: nothing cancels near repeated
-    singular values.  NumPy scalars and arrays give each element exactly its
-    scalar result (products rounded by :func:`_cmul`).
+    ``q = |(a - phi conj d, b + phi conj c)| / 2``: nothing cancels near
+    repeated singular values.  NumPy scalars and arrays give each element
+    exactly its scalar result (products rounded by :func:`_cmul`).
     """
     if type(a) is complex:  # plain Python arithmetic: membership's hot path
         det = a * d - b * c
@@ -114,8 +113,7 @@ def _sv2(a, b, c, d):
         s = r + zero
         phi = _complex(det.real / s + zero, det.imag / s)
         p, q = _halves(a, b, c, d, phi, _cmul, np.abs, np.hypot)
-    top = p + q
-    return top, r / (top + (top == 0))
+    return p + q
 
 
 def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):
@@ -130,16 +128,15 @@ def _sv2_ranged(M):
     or underflowed), it is redone on A 2^-e, 2^e the power of two just above
     A's largest real or imaginary part, and scaled back; others are kept."""
     with np.errstate(over="ignore", invalid="ignore"):
-        top, low = _sv2(*_entries(M))
+        top = _sv2(*_entries(M))
         redo = ~((top >= 2.0 ** -500) & (top < math.inf))
         if M.ndim == 3:
             for i in np.flatnonzero(redo):
-                top[i], low[i] = _sv2_ranged(M[i])
+                top[i] = _sv2_ranged(M[i])
         elif redo:
             e = np.frexp(np.maximum(abs(M.real), abs(M.imag)).max())[1]
-            t, s = _sv2(*_entries(M * np.ldexp(1.0, -e)))
-            return np.ldexp(t, e), np.ldexp(s, e)
-    return top, low
+            return np.ldexp(_sv2(*_entries(M * np.ldexp(1.0, -e))), e)
+    return top
 
 
 def op_norm(A):
@@ -148,15 +145,8 @@ def op_norm(A):
     unitaries that A splits into once det A is turned onto the positive axis.
     Accurate for every finite A, inf where the norm passes the largest float."""
     M = as_cmat2(A, stack=True)
-    s = _sv2_ranged(M)[0]
+    s = _sv2_ranged(M)
     return float(s) if M.ndim == 2 else s
-
-
-def smallest_singular_value(A) -> float:
-    """Smallest singular value |det A| / op_norm(A), as the two singular
-    values multiply to |det A|; 0 for the zero matrix.  Accurate for every
-    finite A, down to the subnormals."""
-    return float(_sv2_ranged(as_cmat2(A))[1])
 
 
 def _require_contraction(Z, note: str = "") -> None:
@@ -165,7 +155,7 @@ def _require_contraction(Z, note: str = "") -> None:
     passes a Z whose norm it puts below 1 - 2^-48; op_norm, which also
     validates Z, decides every other case (and any overflow there)."""
     try:
-        if _sv2(*Z.ravel().tolist())[0] < 1.0 - 2.0 ** -48:
+        if _sv2(*Z.ravel().tolist()) < 1.0 - 2.0 ** -48:
             return
     except OverflowError:
         pass
@@ -202,7 +192,8 @@ def pi_map(A) -> tuple:
     stack, the three coordinate arrays."""
     M = as_cmat2(A, stack=True)
     m11, m12, m21, m22 = _entries(M)
-    x = (m11, m22, _det(m11, m12, m21, m22))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (m11, m22, _det(m11, m12, m21, m22))
     if M.ndim == 2:
         return tuple(complex(c) for c in x)
     return x

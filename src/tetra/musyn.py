@@ -46,10 +46,9 @@ def mu_diag(A) -> float:
     exactly when pi(A) = (0, 0, 0).  Raises NumericalDegenerate where the
     bisection's squares overflow: pi(A) beyond 1e150 or mu(A) below 1e-150.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, p = x = pi_map(as_cmat2(A))
-        if not (np.abs(x) < _PI_MAX).all():
-            raise NumericalDegenerate(f"pi(A) = {x} overflows: a modulus reaches 1e150")
+    a, b, p = x = pi_map(as_cmat2(A))
+    if not (np.abs(x) < _PI_MAX).all():
+        raise NumericalDegenerate(f"pi(A) = {x} overflows: a modulus reaches 1e150")
     if not any(x):
         return 0.0
 

@@ -245,7 +245,7 @@ def _report(x1, x2, x3, closed: bool = False, tol: float = DEFAULT_TOL) -> Membe
     (a1, a2, a3, cr12, cr21, _), (m3, m3p, m4, m4p, m5, m6), tri, dval, dflip = (
         _quotients(x1, x2, x3)
     )
-    norm = _sv2(*_sym_rep_entries(x1, x2, x3))[0]
+    norm = _sv2(*_sym_rep_entries(x1, x2, x3))
 
     # the bounds on a1, a2 and a3 make the quadratic criteria decisive on
     # all of C^3 (see membership); each is implied by membership itself

@@ -6,6 +6,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from importlib import resources
 
@@ -451,10 +452,18 @@ def test_malformed_values_raise_typed_value_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ("member", "--point", "[[1.5e308, 1.5e308], 0, 0]"),
     ("dist", "--from", "[0.1, 0.2, [1.5e308, -1.5e308]]"),
+    # det(A2) overflows inside pi(A2): once NaN, once inf
+    ("synth", "--lambda0", "0.5", "--a1", "[[0,1],[0,0]]",
+     "--a2", "[[1e200,1e200],[1e200,1e200]]"),
+    ("synth", "--lambda0", "0.5", "--a1", "[[0,1],[0,0]]",
+     "--a2", "[[1e200,1],[0,1e200]]"),
 ])
 def test_an_overflowing_coordinate_modulus_is_one_json_error(capsys, argv):
-    rc, out, err = invoke(capsys, *argv)
-    assert rc == 1 and out == ""
+    # one error document on stderr, and no numpy warning beside it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == "" and caught == []
     error = json.loads(err)
     jsonschema.validate(error, SCHEMAS["error"])
     assert error["error"]["type"] == "NonFinite"

@@ -7,7 +7,9 @@ statement, or on the opening line of a parenthesised one, exempts nothing.
 A private module-level name (one leading underscore) is orphaned when no
 module of the library reads it: no load of the name, no attribute of that
 name and no ``from ... import`` of it.  Tests do not count as readers, so a
-deletion cannot leave a helper behind that only a test still calls.
+deletion cannot leave a helper behind that only a test still calls.  A
+public module-level name is unread unless a library module reads it in that
+sense, ``tetra.__all__`` lists it or ``tests/test_acceptance.py`` imports it.
 
 The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
 ``LAPACK_SITES`` only, which keeps eigensolvers off the solve path.
@@ -19,6 +21,7 @@ from collections import Counter
 import pytest
 
 SRC = sorted((pathlib.Path(__file__).parent.parent / "src" / "tetra").glob("*.py"))
+ACCEPTANCE = pathlib.Path(__file__).parent / "test_acceptance.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,20 +41,27 @@ def unused_imports(source: str) -> list[str]:
         n.id for n in ast.walk(tree)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
+    exported = dunder_all(tree)
     return sorted(
         f"line {line}: {name}" for name, line in bound.items()
         if name not in read and name not in exported
     )
 
 
-def private_names(tree: ast.Module) -> dict[str, int]:
-    """Private names bound at module level, with the line binding each."""
+def dunder_all(tree: ast.Module) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return exported
+
+
+def module_names(tree: ast.Module, private: bool = True) -> dict[str, int]:
+    """Private (or, without ``private``, public) names bound at module
+    level by a definition or an assignment, with the line binding each."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,7 +72,7 @@ def private_names(tree: ast.Module) -> dict[str, int]:
         else:
             names = []
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 out[name] = node.lineno
     return out
 
@@ -80,15 +90,28 @@ def names_read(tree: ast.Module) -> set[str]:
     return read
 
 
-def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+def orphaned_names(
+    sources: dict[str, str], private: bool = True, pinned: frozenset = frozenset()
+) -> list[str]:
+    """Module-level names of the given kind that no module reads and that
+    ``pinned`` does not list."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    read = set().union(*(names_read(t) for t in trees.values()))
+    read = set().union(*(names_read(t) for t in trees.values())) | pinned
     return sorted(
         f"{module} line {line}: {name}"
         for module, tree in trees.items()
-        for name, line in private_names(tree).items()
+        for name, line in module_names(tree, private).items()
         if name not in read
     )
+
+
+def public_pins(init_source: str, acceptance_source: str) -> frozenset:
+    """The names ``tetra.__all__`` lists and the acceptance tests import."""
+    pins = dunder_all(ast.parse(init_source))
+    for node in ast.walk(ast.parse(acceptance_source)):
+        if isinstance(node, ast.ImportFrom):
+            pins |= {alias.name for alias in node.names}
+    return frozenset(pins)
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
@@ -117,7 +140,7 @@ def test_the_check_sees_an_unused_import():
 
 
 def test_no_orphaned_private_names():
-    assert orphaned_private_names({p.name: p.read_text() for p in SRC}) == []
+    assert orphaned_names({p.name: p.read_text() for p in SRC}) == []
 
 
 def test_the_check_sees_an_orphaned_private_name():
@@ -125,8 +148,29 @@ def test_the_check_sees_an_orphaned_private_name():
         "a.py": "_TOL = 1e-9\n_UNUSED = 2\ndef _helper():\n    return _TOL\n",
         "b.py": "from .a import _helper\nclass _Gone:\n    pass\n",
     }
-    assert orphaned_private_names(sources) == [
+    assert orphaned_names(sources) == [
         "a.py line 2: _UNUSED", "b.py line 2: _Gone",
+    ]
+
+
+def test_no_unread_public_names():
+    sources = {p.name: p.read_text() for p in SRC}
+    pins = public_pins(sources["__init__.py"], ACCEPTANCE.read_text())
+    assert orphaned_names(sources, private=False, pinned=pins) == []
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {
+        "__init__.py": "from .a import solve\n__all__ = ['solve', 'Report']\n",
+        "a.py": (
+            "TOL = 1e-9\nLIMIT: int = 3\nclass Report:\n    pass\n"
+            "def solve():\n    return TOL\ndef spare():\n    pass\n"
+            "def pinned():\n    pass\n"
+        ),
+    }
+    pins = public_pins(sources["__init__.py"], "from tetra.a import pinned\n")
+    assert orphaned_names(sources, private=False, pinned=pins) == [
+        "a.py line 2: LIMIT", "a.py line 7: spare",
     ]
 
 

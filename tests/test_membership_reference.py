@@ -106,7 +106,7 @@ def reference_membership(x, closed=False, tol=1e-9):
     if closed and abs(a3 - 1.0) <= tol:
         c6 = c6 and lt1(a1)
     w = cmath.sqrt(x1 * x2 - x3)
-    c7 = lt1(_sv2(x1, w, w, x2)[0])
+    c7 = lt1(_sv2(x1, w, w, x2))
     if closed:
         if 1.0 - a3 > tol:
             c9 = (cr12 + cr21) / (1.0 - a3 * a3) <= 1.0 + tol

@@ -11,8 +11,8 @@ two-quotient criterion; the construction routes through:
   strictly interior non-triangular targets (the M(rho)/u/v machinery, in
   closed form on the four entries of Z, with no eigensolver or matrix
   inverse), evaluated as the pencil F(lam) = (C0 + s(lam) C1) diag(lam, 1)
-  that the Sherman-Morrison formula gives for a rank-one constant (see
-  _mobius_lift),
+  that the Sherman-Morrison formula gives for a rank-one constant, built
+  in the same scalar pass as the workspace (see _mobius),
 * an SVD reduction to a scalar two-point Nevanlinna-Pick problem in the
   extremal case (and for the non-uniqueness family),
 * the one-parameter sigma family of interpolants sweeping all admissible
@@ -39,6 +39,7 @@ from .errors import (
     Extremal,
     Infeasible,
     InfeasiblePick,
+    NonFinite,
     NormTooLarge,
     NumericalDegenerate,
     OutsideDisc,
@@ -75,7 +76,7 @@ from .tetrablock import (
 
 EXTREMAL_RTOL = 1e-10   # |max quotient - |lambda0|| below this is extremal
 _B_ZERO = 1e-13         # |b| below this routes to the b = 0 line branch
-_U_TINY = 1e-13         # ||u|| below this with b != 0 is an internal error
+_U_TINY = 1e-13         # ||u|| below this leaves the Moebius transport undefined
 _ALPHA_TOL = 1e-9       # choose_alpha's bound on the smallest eigenvalue
 _VARIANTS = ("scaled_line", "mobius_blaschke", "svd_reduced", "sigma_family")
 
@@ -157,7 +158,8 @@ def _big_m(z, Y, W, rho: float) -> tuple[float, complex, float]:
 
 def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
     """The vector pair u(alpha) = (1-ZZ*)^{-1/2}(alpha1 Z e1 + alpha2 e2),
-    v(alpha) = -(1-Z*Z)^{-1/2}(alpha1 e1 + alpha2 Z* e2)."""
+    v(alpha) = -(1-Z*Z)^{-1/2}(alpha1 e1 + alpha2 Z* e2); NonFinite for a
+    non-finite alpha or where u or v overflows."""
     Zm = as_cmat2(Z)
     a = np.asarray(alpha, dtype=complex).ravel()
     if a.shape != (2,):
@@ -167,22 +169,20 @@ def uv_vectors(Z, alpha) -> tuple[CVec2, CVec2]:
         raise ZeroAlpha("alpha must be nonzero")
     _require_contraction(Zm)
     z = Zm.ravel().tolist()
-    u1, u2, v1, v2 = _uv_vectors(z, *_defects(z), *a)
-    return np.array([u1, u2]), np.array([v1, v2])
+    _, u, v = _uv_cores(z, *_defects(z), *a)
+    if not all(map(cmath.isfinite, u + v)):  # a NaN or inf in alpha gets here too
+        raise NonFinite("u(alpha), v(alpha) are not finite")
+    return np.array(u), np.array(v)
 
 
-def _uv_vectors(z, Y, W, a1, a2) -> tuple[complex, complex, complex, complex]:
-    """(u1, u2, v1, v2) of u(a), v(a) (see :func:`uv_vectors`), from Z's
-    entries and the defects Y, W of :func:`_defects`."""
-    g1, g2, h1, h2 = _uv_cores(z, a1, a2)
-    u1, u2 = _isqrt_times(*W, g1, g2)
+def _uv_cores(z, Y, W, a1, a2):
+    """((g1, g2, h1, h2), u, v): u(a), v(a) of :func:`uv_vectors` and their
+    cores g = (1-ZZ*)^{1/2} u, h = -(1-Z*Z)^{1/2} v, from Z's entries and
+    the defects Y, W of :func:`_defects`."""
+    g1, g2 = a1 * z[0], a1 * z[2] + a2
+    h1, h2 = a1 + a2 * z[2].conjugate(), a2 * z[3].conjugate()
     v1, v2 = _isqrt_times(*Y, h1, h2)
-    return u1, u2, -v1, -v2
-
-
-def _uv_cores(z, a1, a2) -> tuple[complex, complex, complex, complex]:
-    """(1-ZZ*)^{1/2} u(a) = (g1, g2) and -(1-Z*Z)^{1/2} v(a) = (h1, h2)."""
-    return a1 * z[0], a1 * z[2] + a2, a1 + a2 * z[2].conjugate(), a2 * z[3].conjugate()
+    return (g1, g2, h1, h2), _isqrt_times(*W, g1, g2), (-v1, -v2)
 
 
 def choose_alpha(M) -> CVec2:
@@ -223,10 +223,10 @@ class SchwarzWorkspace:
     """Frozen bundle of the interpolation data at one (lambda0, x), in six
     fields: lambda0, the matrix Z (with optional off-diagonal scaling sigma),
     the pivot M(|lambda0|), the chosen alpha and the vectors u, v.  ``build``
-    computes them in scalar arithmetic on Z's four entries: the defects
-    1 - Z*Z and 1 - ZZ* once, M from their adjugates, alpha in closed form,
-    and u, v through the closed-form inverse square roots of the defects;
-    the fields are then stored as arrays."""
+    checks its arguments, and :func:`_mobius` computes the fields in scalar
+    arithmetic on Z's four entries: the defects 1 - Z*Z and 1 - ZZ* once, M
+    from their adjugates, alpha in closed form, and u, v through the
+    closed-form inverse square roots of the defects, stored as arrays."""
 
     lambda0: complex
     Z: CMat2
@@ -240,23 +240,7 @@ class SchwarzWorkspace:
         l0 = _check_lambda0(lam0)
         if not 0.0 < sigma < math.inf:
             raise SigmaOutOfRange(f"sigma must be positive and finite, got {sigma}")
-        a, b, p = as_cpoint3(x)
-        w = principal_sqrt((a * b - p) / l0)
-        z = [a / l0, sigma * w, w / sigma, b]
-        if not all(map(cmath.isfinite, z)):  # overflow: x and lambda0 are finite
-            raise NormTooLarge("op_norm(Z) overflows: not strictly interior")
-        Z = mat2(*z)
-        _require_contraction(Z, ": not strictly interior")
-        Y, W = _defects(z)
-        m11, m12, m22 = _big_m(z, Y, W, abs(l0))
-        alpha = _choose_alpha(m11, m12, m22)
-        u1, u2, v1, v2 = _uv_vectors(z, Y, W, *alpha)
-        if math.hypot(abs(u1), abs(u2)) < _U_TINY and abs(b) >= _B_ZERO:
-            raise NumericalDegenerate("u(alpha) vanished with b != 0")
-        return SchwarzWorkspace(
-            l0, Z, mat2(m11, m12, m12.conjugate(), m22),
-            np.array(alpha), np.array([u1, u2]), np.array([v1, v2]),
-        )
+        return _mobius(l0, as_cpoint3(x), sigma)[0]
 
 
 def _blaschke(a: complex, lam):
@@ -480,8 +464,10 @@ def _times_diag(G, lam):
     return F
 
 
-def _mobius_lift(ws: SchwarzWorkspace):
-    """Both Moebius lifts, F = M_{-Z}(beta Q0) diag(lam, 1) with beta(lam) =
+def _mobius(l0: complex, x: CPoint3, sigma: float):
+    """(workspace, lift) at checked (lambda0, x, sigma), in one scalar pass.
+
+    The lift is F = M_{-Z}(beta Q0) diag(lam, 1) with beta(lam) =
     (lambda0 - lam)/(1 - conj(lambda0) lam), as a pencil: for X = beta Q0 = c u v*,
     Sherman-Morrison gives (X + Z)(1 + Z*X)^{-1} = Z + c (1-ZZ*) u v*/(1 + c v*Z*u),
     so F = (C0 + s C1) diag(lam, 1) for C0 = (1-ZZ*)^{-1/2} Z (1-Z*Z)^{1/2}, C1 =
@@ -489,22 +475,34 @@ def _mobius_lift(ws: SchwarzWorkspace):
     (lambda0 - lam)/(d0 - d1 lam) with kappa = v*Z*u/(lambda0 |u|^2).  As
     Z (1-Z*Z)^{1/2} = (1-ZZ*)^{1/2} Z, C0 is Z itself, so F(lambda0) has exactly
     Z's second column."""
-    (u1, u2), (v1, v2) = ws.u.tolist(), ws.v.tolist()
+    a, b, p = x
+    w = principal_sqrt((a * b - p) / l0)
+    z = [a / l0, sigma * w, w / sigma, b]
+    if not all(map(cmath.isfinite, z)):  # overflow: x and lambda0 are finite
+        raise NormTooLarge("op_norm(Z) overflows: not strictly interior")
+    Z = mat2(*z)
+    _require_contraction(Z, ": not strictly interior")
+    Y, W = _defects(z)
+    m11, m12, m22 = _big_m(z, Y, W, abs(l0))
+    alpha = _choose_alpha(m11, m12, m22)
+    (g1, g2, h1, h2), (u1, u2), (v1, v2) = _uv_cores(z, Y, W, *alpha)
     nu2 = _abs2(u1) + _abs2(u2)
     if nu2 < _U_TINY ** 2:
         raise NumericalDegenerate("u(alpha) vanished; rank-one transport undefined")
-    l0, z, scale = ws.lambda0, ws.Z.ravel().tolist(), ws.lambda0 * nu2
+    scale = l0 * nu2
     zv1, zv2 = z[0] * v1 + z[1] * v2, z[2] * v1 + z[3] * v2  # v*Z*u = (Zv)* u
     kappa = (zv1.conjugate() * u1 + zv2.conjugate() * u2) / scale
-    g1, g2, h1, h2 = _uv_cores(z, *ws.alpha.tolist())
     h1, h2 = h1.conjugate() / -scale, h2.conjugate() / -scale
     C1 = mat2(g1 * h1, g1 * h2, g2 * h1, g2 * h2)
-    return _Bound((_pencil, l0, 1 + kappa * l0, l0.conjugate() + kappa, ws.Z, C1))
+    return SchwarzWorkspace(
+        l0, Z, mat2(m11, m12, m12.conjugate(), m22),
+        np.array(alpha), np.array([u1, u2]), np.array([v1, v2]),
+    ), _Bound((_pencil, l0, 1 + kappa * l0, l0.conjugate() + kappa, Z, C1))
 
 
 def _pencil(l0, d0, d1, C0, C1, lam):
     """(C0 + s C1) diag(lam, 1), s = (l0 - lam)/(d0 - d1 lam): the lift of
-    _mobius_lift, whose C0 is the interpolant's own Z."""
+    _mobius, whose C0 is the interpolant's own Z."""
     s = _cdiv(l0 - lam, d0 - _cmul(d1, lam))
     return _times_diag(C0 + _cmul(_per_point(s), C1), lam)
 
@@ -582,10 +580,10 @@ def solve_schwarz(lam0, x, t=0j) -> Interpolant:
             _lift=_Bound((_svd_lift, U, Vh, c, scalar)),
         )
 
-    ws = SchwarzWorkspace.build(l0, xs)
+    ws, lift = _mobius(l0, xs, 1.0)
     return Interpolant(
         variant="mobius_blaschke", lambda0=l0, x=xp, Z=ws.Z, u=ws.u, v=ws.v,
-        t=t, flipped=flipped, _lift=_mobius_lift(ws),
+        t=t, flipped=flipped, _lift=lift,
     )
 
 
@@ -645,10 +643,10 @@ def solve_with_sigma(lam0, x, sigma) -> Interpolant:
         raise SigmaOutOfRange(
             f"sigma^2 = {s2:.12f} outside ({params.xi1:.12f}, {params.xi2:.12f})"
         )
-    ws = SchwarzWorkspace.build(l0, xp, sigma=sig)
+    ws, lift = _mobius(l0, xp, sig)
     return Interpolant(
         variant="sigma_family", lambda0=l0, x=xp, Z=ws.Z, u=ws.u, v=ws.v,
-        sigma=sig, flipped=False, _lift=_mobius_lift(ws),
+        sigma=sig, flipped=False, _lift=lift,
     )
 
 
@@ -670,15 +668,7 @@ class VerificationReport:
     zero_column: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed, "samples": self.samples, "seed": self.seed,
-            "tol": self.tol, "endpoint_zero": self.endpoint_zero,
-            "endpoint_target": self.endpoint_target,
-            "margin_violation": self.margin_violation,
-            "lift_norm_excess": self.lift_norm_excess,
-            "lift_consistency": self.lift_consistency,
-            "zero_column": self.zero_column,
-        }
+        return dict(vars(self))
 
 
 def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,

@@ -1,12 +1,15 @@
 import cmath
+import collections
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetra import interpolate
 from tetra.errors import (
     BadLambda,
     BadShape,
@@ -14,6 +17,7 @@ from tetra.errors import (
     Extremal,
     Infeasible,
     InfeasiblePick,
+    NonFinite,
     NormTooLarge,
     NumericalDegenerate,
     OutsideDisc,
@@ -215,6 +219,17 @@ def test_uv_vectors_guards():
         uv_vectors(Z, [0.0, 0.0])
     with pytest.raises(NormTooLarge):
         uv_vectors(mat2(1.5, 0, 0, 0), [1.0, 0.0])
+
+
+def test_uv_vectors_of_a_non_finite_or_huge_alpha_is_non_finite():
+    # a NaN or inf in alpha, or a finite alpha whose u and v overflow, is a
+    # typed error rather than NaN or inf vectors, and numpy warns nothing
+    Z = mat2(0, 0, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in ([math.nan, 1.0], [math.inf, 0.0], [1e308, 1e308]):
+            with pytest.raises(NonFinite):
+                uv_vectors(Z, alpha)
 
 
 def test_uv_vectors_needs_two_entries():
@@ -445,11 +460,20 @@ def test_moebius_and_sigma_solves_call_no_lapack_sqrt_psd_or_inv2(monkeypatch):
             raise AssertionError(f"numpy.linalg.{name} reached")
 
     monkeypatch.setattr(np, "linalg", NoLinalg())
-    phis = [
-        solve_schwarz(-0.9, GOLD_X),
-        solve_schwarz(-0.9, (0.25, 0.5, 0.5)),
-        solve_with_sigma(-0.9, GOLD_X, sigma),
-    ]
+    # one scalar pass per solve builds both the workspace and the pencil
+    calls = collections.Counter()
+    for name in ("_uv_cores", "_defects", "_choose_alpha"):
+        def counted(*args, _f=getattr(interpolate, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(interpolate, name, counted)
+    phis = []
+    for solve in (lambda: solve_schwarz(-0.9, GOLD_X),
+                  lambda: solve_schwarz(-0.9, (0.25, 0.5, 0.5)),
+                  lambda: solve_with_sigma(-0.9, GOLD_X, sigma)):
+        calls.clear()
+        phis.append(solve())
+        assert calls == {"_uv_cores": 1, "_defects": 1, "_choose_alpha": 1}
     assert [(p.variant, p.flipped) for p in phis] == [
         ("mobius_blaschke", False), ("mobius_blaschke", True), ("sigma_family", False),
     ]

@@ -7,9 +7,11 @@ deterministic JSON document on standard output (complex numbers as
 verification), 1 input or usage error with a machine-readable error object
 on standard error.
 
-Each document is byte-identical to ``json.dumps(doc, sort_keys=True,
-indent=2, allow_nan=False)`` and is built whole before the first write, so
-one that cannot be written writes nothing.
+Each handler returns its document's body, exit code and RNG seed; ``run()``
+adds the ``command`` and ``provenance`` (tool version, seed and ``--tol``
+margin) that every document carries.  Each document is byte-identical to
+``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` and is built
+whole before the first write, so one that cannot be written writes nothing.
 
 Options read as argparse reads them: ``--tol`` (the margin tolerance) before
 the subcommand, ``--name value`` or ``--name=value``, unique prefixes, the
@@ -83,14 +85,6 @@ def _parse_matrix(text: str) -> np.ndarray:
     )
 
 
-def _provenance(tol: float, seed=None) -> dict:
-    return {
-        "tool_version": __version__,
-        "seed": seed,
-        "tolerances": {"margin": tol},
-    }
-
-
 def _put(v, out: list, nl: str) -> None:
     """Append the JSON text of v to out; nl is a newline followed by the
     indent of the line v starts on.  A complex number is written as
@@ -152,11 +146,10 @@ def _emit(obj: dict, stream=None) -> None:
 _CRITERIA = tuple(f"c{k}" for k in range(1, 10))
 
 
-def _cmd_member(args, tol: float):
+def _cmd_member(args):
     x = _parse_point(args.point)
-    rep = membership(x, closed=args.closed, tol=tol)
+    rep = membership(x, closed=args.closed, tol=args.tol)
     out = {
-        "command": "member",
         "point": x,
         "closed": bool(args.closed),
         "report": {
@@ -172,16 +165,15 @@ def _cmd_member(args, tol: float):
                 "value": rep.d_value if math.isfinite(rep.d_value) else None,
             },
         },
-        "provenance": _provenance(tol),
     }
     if args.oracle_grid is not None:
         out["oracle"] = membership_grid_oracle(
             x, closed=args.closed, n=args.oracle_grid
         )
-    return out, (0 if rep.in_set else 2)
+    return out, (0 if rep.in_set else 2), None
 
 
-def _cmd_dist(args, tol: float):
+def _cmd_dist(args):
     x = _parse_point(getattr(args, "from"))
     y = None if args.to is None else _parse_point(args.to)
     if y is None or max(abs(c) for c in y) == 0.0:
@@ -190,32 +182,17 @@ def _cmd_dist(args, tol: float):
         dist = dist_from_origin(y)
     else:
         dist = dist_triangular_pair(x, y)
-    out = {
-        "command": "dist",
-        "from": x,
-        "to": y,
-        "distance": dist,
-        "quotient": math.tanh(dist),
-        "provenance": _provenance(tol),
-    }
-    return out, 0
+    return {"from": x, "to": y, "distance": dist, "quotient": math.tanh(dist)}, 0, None
 
 
-def _cmd_interp(args, tol: float):
+def _cmd_interp(args):
     l0 = _as_complex_entry(json.loads(args.lambda0))
     x = _parse_point(args.point)
     seed = args.seed if args.seed is not None else 0
     feasible, margin = schwarz_feasible(l0, x)
-    base = {
-        "command": "interp",
-        "feasible": feasible,
-        "lambda0": l0,
-        "point": x,
-        "margin": margin,
-        "provenance": _provenance(tol, seed),
-    }
+    base = {"feasible": feasible, "lambda0": l0, "point": x, "margin": margin}
     if args.sigma is None and not feasible:
-        return base, 2
+        return base, 2, seed
     try:
         if args.sigma is not None:
             phi = solve_with_sigma(l0, x, args.sigma)
@@ -224,8 +201,8 @@ def _cmd_interp(args, tol: float):
             phi = solve_schwarz(l0, x, t=t)
     except Infeasible:
         base["feasible"] = False
-        return base, 2
-    report = verify_interpolant(phi, samples=args.samples, seed=seed, tol=tol)
+        return base, 2, seed
+    report = verify_interpolant(phi, samples=args.samples, seed=seed, tol=args.tol)
     base.update(
         {
             "feasible": True,
@@ -240,30 +217,24 @@ def _cmd_interp(args, tol: float):
             "verification": report.to_dict(),
         }
     )
-    return base, (0 if report.passed else 2)
+    return base, (0 if report.passed else 2), seed
 
 
-def _cmd_mu(args, tol: float):
+def _cmd_mu(args):
     A = _parse_matrix(args.matrix)
-    out = {
-        "command": "mu",
-        "matrix": A,
-        "mu": mu_diag(A),
-        "provenance": _provenance(tol),
-    }
+    out = {"matrix": A, "mu": mu_diag(A)}
     if args.oracle:
         out["oracle"] = mu_scaling_oracle(A)
-    return out, 0
+    return out, 0, None
 
 
-def _cmd_synth(args, tol: float):
+def _cmd_synth(args):
     l0 = _as_complex_entry(json.loads(args.lambda0))
     A1 = _parse_matrix(args.a1)
     A2 = _parse_matrix(args.a2)
     inst = SynthesisInstance(l0, A1, A2)
     feasible, lift = synth_two_point(inst)
     out = {
-        "command": "synth",
         "feasible": feasible,
         "lambda0": l0,
         "shape": inst.shape,
@@ -272,7 +243,6 @@ def _cmd_synth(args, tol: float):
         "lift_at_zero": None,
         "lift_at_lambda0": None,
         "mu_audit": None,
-        "provenance": _provenance(tol),
     }
     if feasible and lift is not None:
         out["lift_at_zero"] = lift(0.0)
@@ -284,21 +254,15 @@ def _cmd_synth(args, tol: float):
             lam = (k + 1) / (n_samples + 1) * np.exp(2j * math.pi * golden * k)
             worst = max(worst, mu_diag(lift(lam)))
         out["mu_audit"] = {"max_mu": worst, "samples": n_samples}
-    return out, (0 if feasible else 2)
+    return out, (0 if feasible else 2), None
 
 
-def _cmd_boundary(args, tol: float):
+def _cmd_boundary(args):
     x = _parse_point(args.point)
-    on_b = in_distinguished_boundary(x, tol=tol)
-    out = {
-        "command": "boundary",
-        "point": x,
-        "on_boundary": on_b,
-        "peak": None,
-        "provenance": _provenance(tol, 0),
-    }
+    on_b = in_distinguished_boundary(x, tol=args.tol)
+    out = {"point": x, "on_boundary": on_b, "peak": None}
     if on_b:
-        g = peak_function(x, tol=tol)
+        g = peak_function(x, tol=args.tol)
         val = g(x)
         rng = np.random.default_rng(0)
         n_samples = 200
@@ -314,10 +278,10 @@ def _cmd_boundary(args, tol: float):
             "max_abs_sampled": worst,
             "samples": n_samples,
         }
-    return out, (0 if on_b else 2)
+    return out, (0 if on_b else 2), 0
 
 
-def _cmd_auto(args, tol: float):
+def _cmd_auto(args):
     op = args.op
     if op == "diamond":
         if args.x is None or args.y is None:
@@ -349,28 +313,18 @@ def _cmd_auto(args, tol: float):
             "chi": {"omega": chi.omega, "alpha": chi.alpha},
             "image": image,
         }
-    return {
-        "command": "auto",
-        "op": op,
-        "result": result,
-        "provenance": _provenance(tol),
-    }, 0
+    return {"op": op, "result": result}, 0, None
 
 
-def _cmd_verify(args, tol: float):
+def _cmd_verify(args):
     with open(args.interpolant) as fh:
         payload = json.load(fh)
     if isinstance(payload, dict) and "interpolant" in payload:
         payload = payload["interpolant"]
     phi = Interpolant.from_payload(payload)
-    report = verify_interpolant(phi, samples=args.samples, seed=args.seed, tol=tol)
-    out = {
-        "command": "verify",
-        "passed": report.passed,
-        "report": report.to_dict(),
-        "provenance": _provenance(tol, args.seed),
-    }
-    return out, (0 if report.passed else 2)
+    report = verify_interpolant(phi, samples=args.samples, seed=args.seed, tol=args.tol)
+    out = {"passed": report.passed, "report": report.to_dict()}
+    return out, (0 if report.passed else 2), args.seed
 
 
 # Each subcommand's handler, help line and options.  An option is (type,
@@ -397,7 +351,6 @@ _COMMANDS = {
     "verify": (_cmd_verify, "re-verify a stored interpolant", {
         "--interpolant": (str, ...), "--samples": (int, 500), "--seed": (int, 0)}),
 }
-_HANDLERS = {cmd: handler for cmd, (handler, _, _) in _COMMANDS.items()}
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # values, though they start with "-"
 
 
@@ -483,11 +436,14 @@ def run(argv=None) -> int:
     """Parse argv, execute one subcommand, print its JSON document."""
     try:
         args = _parse_argv(argv)
-        out, code = _HANDLERS[args.cmd](args, args.tol)
+        out, code, seed = _COMMANDS[args.cmd][0](args)
     except (_UsageError, TetraError, ValueError, OSError) as exc:
         _emit({"error": {"type": exc.__class__.__name__, "message": str(exc)}},
               stream=sys.stderr)
         return 1
+    out["command"] = args.cmd
+    out["provenance"] = {"tool_version": __version__, "seed": seed,
+                         "tolerances": {"margin": args.tol}}
     _emit(out)
     return code
 

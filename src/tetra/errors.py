@@ -119,7 +119,8 @@ class BadSamples(TetraError, ValueError):
 
 
 class BadTolerance(TetraError, ValueError):
-    """An audit tolerance is NaN, infinite or negative."""
+    """An audit or distinguished-boundary tolerance is NaN, infinite or
+    negative."""
 
 
 # --- automorphisms -----------------------------------------------------------

@@ -35,7 +35,6 @@ from .errors import (
     BadPayload,
     BadShape,
     BadSamples,
-    BadTolerance,
     Extremal,
     Infeasible,
     InfeasiblePick,
@@ -67,6 +66,7 @@ from .linalg import (
 )
 from .tetrablock import (
     CPoint3,
+    _check_tol,
     _margins,
     as_cpoint3,
     criterion_max,
@@ -685,9 +685,7 @@ def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,
     n = int(samples)
     if n < 1:
         raise BadSamples(f"the audit needs at least one sample, got {n}")
-    tol = float(tol)
-    if not 0.0 <= tol < math.inf:  # written so that a NaN fails
-        raise BadTolerance(f"tol must be finite and non-negative, got {tol}")
+    tol = _check_tol(tol)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     radii = np.empty(n)

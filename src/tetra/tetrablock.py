@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     BadBeta,
     BadSamples,
+    BadTolerance,
     InsideClosure,
     NotPeak,
     NonFinite,
@@ -46,6 +47,14 @@ from .linalg import _sv2, mat2
 CPoint3 = tuple[complex, complex, complex]
 
 DEFAULT_TOL = 1e-9
+
+
+def _check_tol(tol) -> float:
+    """tol as a float; a NaN, infinite or negative tol raises BadTolerance."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:  # written so that a NaN fails
+        raise BadTolerance(f"tol must be finite and non-negative, got {tol}")
+    return tol
 
 
 def as_cpoint3(x) -> CPoint3:
@@ -375,8 +384,10 @@ def real_slice_member(x) -> bool:
 
 def in_distinguished_boundary(x, tol: float = DEFAULT_TOL) -> bool:
     """True when x1 = conj(x2) x3, |x3| = 1 and |x2| <= 1 (within tol):
-    exactly the points pi(U) for 2x2 unitaries U."""
+    exactly the points pi(U) for 2x2 unitaries U.  A NaN, infinite or
+    negative tol raises BadTolerance."""
     x1, x2, x3 = as_cpoint3(x)
+    tol = _check_tol(tol)
     return (
         abs(x1 - x2.conjugate() * x3) <= tol
         and abs(abs(x3) - 1.0) <= tol
@@ -406,7 +417,8 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
     |g(y)| < 1 for y != x0.  Triangular boundary points (|x1| = |x2| = 1)
     use the affine form (conj(x1) y1 + conj(x2) y2 + conj(x3) y3 + 1)/4;
     non-triangular ones transport the quadratic peak at (0, 0, -1) by the
-    disc automorphism attached to x0.
+    disc automorphism attached to x0.  tol is checked as in
+    :func:`in_distinguished_boundary`.
     """
     x1, x2, x3 = as_cpoint3(x0)
     if not in_distinguished_boundary((x1, x2, x3), tol=tol):

@@ -550,6 +550,96 @@ def test_tol_flag(capsys):
     assert doc["provenance"]["tolerances"]["margin"] == pytest.approx(1e-6)
 
 
+def failure(capsys, *argv):
+    """The error object of an argv that exits 1 with nothing on stdout."""
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == "", (rc, out, err)
+    doc = json.loads(err)
+    jsonschema.validate(doc, SCHEMAS["error"])
+    return doc["error"]
+
+
+_PHI = json.dumps(solve_schwarz(-0.9, (0.5, 0.25, 0.5)).to_payload())
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (("member", "--point", "[0.5, 0.25, 0.5]"), None),
+    (("dist", "--from", "[0.3, 0, 0]"), None),
+    (("interp", "--lambda0", "-0.9", "--point", "[0.5, 0.25, 0.5]", "--samples", "8"), 0),
+    (("interp", "--lambda0", "-0.9", "--point", "[0.5, 0.25, 0.5]", "--samples", "8",
+      "--seed", "7"), 7),
+    (("interp", "--lambda0", "0.5", "--point", "[0.5, 0.25, 0.5]", "--seed", "3"), 3),
+    (("mu", "--matrix", "[[0.5, 0], [0, 0.5]]"), None),
+    (("synth", "--lambda0", "0.6", "--a1", "[[0, 1], [0, 0]]",
+      "--a2", "[[0.5, 0.5], [-0.5, 0.5]]"), None),
+    (("boundary", "--point", "[0.5, 0.25, 0.5]"), 0),
+    (("auto", "--op", "flip", "--x", "[0.1, 0.2, 0.3]"), None),
+    (("verify", "--interpolant", "PHI", "--samples", "8"), 0),
+    (("verify", "--interpolant", "PHI", "--samples", "8", "--seed", "4"), 4),
+])
+def test_every_document_carries_its_command_and_provenance(tmp_path, capsys, argv, seed):
+    solution = tmp_path / "phi.json"
+    solution.write_text(_PHI)
+    argv = tuple(str(solution) if a == "PHI" else a for a in argv)
+    rc, out, err = invoke(capsys, "--tol", "1e-6", *argv)
+    assert rc in (0, 2) and err == "", err
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    assert doc["provenance"] == {
+        "tool_version": cli.__version__, "seed": seed, "tolerances": {"margin": 1e-6},
+    }
+
+
+@pytest.mark.parametrize("seed", [(), ("--seed", "5")])
+def test_interp_sigma_outside_its_window_reports_the_seed(capsys, seed):
+    # solve_with_sigma raises Infeasible; that early return still hands
+    # run() the audit seed
+    doc = check(
+        capsys, "interp", "interp", "--lambda0", "0.3", "--point", "[0.5, 0.25, 0.5]",
+        "--sigma", "1.0", *seed, code=2,
+    )
+    assert doc["feasible"] is False and doc["margin"] == -0.5
+    assert "variant" not in doc
+    assert doc["provenance"]["seed"] == (5 if seed else 0)
+
+
+@pytest.mark.parametrize("op, argv, message", [
+    ("diamond", ("--x", "[0, 0, 0]"), "diamond needs --x and --y"),
+    ("left", ("--x", "[0.1, 0.2, 0.3]", "--omega", "1"), "left needs --x, --omega and --alpha"),
+    ("right", ("--omega", "1", "--alpha", "0.1"), "right needs --x, --omega and --alpha"),
+    ("flip", ("--y", "[0, 0, 0]"), "flip needs --x"),
+    ("normalize", (), "normalize needs --x"),
+])
+def test_auto_names_the_options_its_op_needs(capsys, op, argv, message):
+    assert failure(capsys, "auto", "--op", op, *argv) == {
+        "type": "_UsageError", "message": message,
+    }
+
+
+def test_dist_from_the_origin_measures_the_other_point(capsys):
+    doc = check(capsys, "dist", "dist", "--from", "[0, 0, 0]", "--to", "[0.5, 0.25, 0.5]")
+    assert doc["distance"] == 1.0986122886681098  # log 3: the origin is either end
+    assert doc["distance"] == check(
+        capsys, "dist", "dist", "--from", "[0.5, 0.25, 0.5]")["distance"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("member", "--point", "[0.5, 0.25]"), "expected three complex coordinates"),
+    (("mu", "--matrix", "[[0.5, 0], [0.5]]"), "expected a 2x2 matrix"),
+])
+def test_a_misshapen_point_or_matrix_is_a_value_error(capsys, argv, message):
+    error = failure(capsys, *argv)
+    assert error["type"] == "ValueError" and message in error["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_boundary_needs_a_finite_non_negative_tol(capsys, tol):
+    # on the boundary, and (for -1) a point the margin would have refused
+    for point in ("[0.6, 0.6, 1]", "[0.5, 0.25, 0.5]"):
+        error = failure(capsys, "--tol", tol, "boundary", "--point", point)
+        assert error["type"] == "BadTolerance"
+
+
 def test_import_leaves_scipy_unloaded():
     # numpy is tetra's only dependency, so the CLI loads no SciPy either
     probe = "import sys, tetra.cli; print('scipy' in sys.modules)"

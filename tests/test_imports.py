@@ -12,7 +12,8 @@ public module-level name is unread unless a library module reads it in that
 sense, ``tetra.__all__`` lists it or ``tests/test_acceptance.py`` imports it.
 
 The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
-``LAPACK_SITES`` only, which keeps eigensolvers off the solve path.
+``LAPACK_SITES`` only, which keeps eigensolvers off the solve path, and
+``cli.run`` alone writes a document's ``command`` and ``provenance``.
 """
 import ast
 import pathlib
@@ -224,4 +225,51 @@ def test_the_check_sees_a_linalg_site():
     assert linalg_sites("a.py", source) == {
         ("a.py", "<module>", "import"), ("a.py", "root", "eigh"),
         ("a.py", "root", "linalg"), ("a.py", "solve", "import"),
+    }
+
+
+ENVELOPE = ("command", "provenance")
+
+
+def envelope_writers(source: str) -> set[tuple[str, str]]:
+    """Where a module writes an ENVELOPE key: as a dict-literal key, a
+    subscript assignment or a keyword argument, by top-level function."""
+    sites = set()
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for n in ast.walk(top):
+            if isinstance(n, ast.Dict):
+                keys = [k.value for k in n.keys if isinstance(k, ast.Constant)]
+            elif isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store):
+                keys = [n.slice.value] if isinstance(n.slice, ast.Constant) else []
+            elif isinstance(n, ast.keyword):
+                keys = [n.arg]
+            else:
+                keys = []
+            sites |= {(where, k) for k in keys if k in ENVELOPE}
+    return sites
+
+
+def test_run_alone_writes_the_envelope():
+    cli = next(p for p in SRC if p.name == "cli.py")
+    assert envelope_writers(cli.read_text()) == {("run", k) for k in ENVELOPE}
+
+
+def test_the_check_sees_an_envelope_writer():
+    source = (
+        "def _cmd_a(args):\n"
+        "    return {'command': 'a', 'body': 1}, 0\n"
+        "def _cmd_b(args):\n"
+        "    out = {'body': {'command': 2}}\n"
+        "    out['provenance'] = {}\n"
+        "    out.update(command='b')\n"
+        "    return out['command'], 0\n"
+        "def run(argv):\n"
+        "    out = {}\n"
+        "    out['command'] = argv[0]\n"
+        "    return out\n"
+    )
+    assert envelope_writers(source) == {
+        ("_cmd_a", "command"), ("_cmd_b", "command"), ("_cmd_b", "provenance"),
+        ("run", "command"),
     }

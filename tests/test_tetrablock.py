@@ -8,7 +8,9 @@ import pytest
 import tetra
 from tetra.errors import (
     BadBeta,
+    BadTolerance,
     InsideClosure,
+    NumericalDegenerate,
     NotPeak,
     NotReal,
     OnTorus,
@@ -342,6 +344,17 @@ def test_peak_function_rejects_off_boundary():
         peak_function((0.5, 0.25, 0.5))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_boundary_and_peak_refuse_a_bad_tol(tol):
+    # a NaN would compare False and a negative tol would refuse every point,
+    # both without saying so
+    for x in ((0.6, 0.6, 1.0), (0.5, 0.25, 0.5)):
+        for call in (in_distinguished_boundary, peak_function):
+            with pytest.raises(BadTolerance):
+                call(x, tol=tol)
+    assert in_distinguished_boundary((0.6, 0.6, 1.0), tol=0.0)
+
+
 def test_peak_function_pole_is_the_left_action_pole():
     # x0 = (conj(x2) x3, x2, x3) transports by alpha = x3 conj(x2) = 0.5;
     # its pole conj(alpha) y1 = 1 needs |y1| = 2, outside the closure
@@ -376,6 +389,27 @@ def test_separating_polynomial_series_branch(rng):
         if found >= 20:
             break
     assert found >= 5
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-5])
+def test_separating_polynomial_just_outside_the_closure(delta):
+    # pi of symmetric matrices of norm 1 + delta: the grid search may miss
+    # a witness this close, and then says so
+    rng = np.random.default_rng(7)
+    closure = [pi_map(random_unitary(rng)) for _ in range(20)]
+    closure += [random_point_in_ebar(rng) for _ in range(100)]
+    for _ in range(12):
+        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        S = np.array([[z[0], z[2]], [z[2], z[1]]])
+        x = pi_map(S * ((1.0 + delta) / op_norm(S)))
+        assert not membership(x, closed=True).in_set
+        try:
+            f, cert = separating_polynomial(x)
+        except NumericalDegenerate:
+            continue
+        assert abs(f(x)) > 1.0, (x, cert)
+        sup = max(abs(f(y)) for y in closure + [pi_map(S / op_norm(S))])
+        assert sup <= 1.0 + 1e-9, (x, cert, sup)
 
 
 def test_separating_polynomial_rejects_members():

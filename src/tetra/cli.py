@@ -16,6 +16,9 @@ whole before the first write, so one that cannot be written writes nothing.
 Options read as argparse reads them: ``--tol`` (the margin tolerance) before
 the subcommand, ``--name value`` or ``--name=value``, unique prefixes, the
 last of repeats and ``-h``; a value such as ``-1e-3`` needs the ``=`` form.
+
+NumPy loads only in the handlers that compute with matrices: member
+(without --oracle-grid), dist, auto and -h run without it.
 """
 from __future__ import annotations
 
@@ -27,21 +30,10 @@ import sys
 import types
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import __version__
 from .autgroup import DiscAut, act_left, act_right, diamond, flip, normalize_triangular
 from .errors import Infeasible, TetraError
-from .interpolate import (
-    Interpolant,
-    schwarz_feasible,
-    solve_schwarz,
-    solve_with_sigma,
-    verify_interpolant,
-)
-from .linalg import op_norm, pi_map
 from .metrics import dist_from_origin, dist_triangular_pair
-from .musyn import SynthesisInstance, mu_diag, mu_scaling_oracle, synth_two_point
 from .tetrablock import (
     DEFAULT_TOL,
     in_distinguished_boundary,
@@ -73,24 +65,21 @@ def _parse_point(text: str) -> tuple:
     return tuple(_as_complex_entry(c) for c in v)
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str) -> list:
     v = json.loads(text)
     if not isinstance(v, list) or len(v) != 2 or any(
         not isinstance(row, list) or len(row) != 2 for row in v
     ):
         raise ValueError(f"expected a 2x2 matrix, got {text!r}")
-    return np.array(
-        [[_as_complex_entry(v[i][j]) for j in (0, 1)] for i in (0, 1)],
-        dtype=complex,
-    )
+    return [[_as_complex_entry(v[i][j]) for j in (0, 1)] for i in (0, 1)]
 
 
 def _put(v, out: list, nl: str) -> None:
     """Append the JSON text of v to out; nl is a newline followed by the
     indent of the line v starts on.  A complex number is written as
-    [re, im] and an array as nested lists; floats (numpy's float64 too) as
-    float.__repr__ writes them.  One direct pass, because json.dumps with
-    an indent always runs json's pure-Python encoder."""
+    [re, im], a NumPy array (told by its type, NumPy unloaded) as nested
+    lists and floats (numpy's float64 too) as float.__repr__ writes them.
+    One direct pass: json.dumps with an indent runs json's Python encoder."""
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(
@@ -130,7 +119,7 @@ def _put(v, out: list, nl: str) -> None:
         out.append("false")
     elif isinstance(v, int):
         out.append(int.__repr__(v))
-    elif isinstance(v, np.ndarray):
+    elif type(v).__name__ == "ndarray" and type(v).__module__ == "numpy":
         _put(v.tolist(), out, nl)
     else:
         raise TypeError(f"{type(v).__name__} is not JSON serialisable")
@@ -186,6 +175,9 @@ def _cmd_dist(args):
 
 
 def _cmd_interp(args):
+    from .interpolate import (
+        schwarz_feasible, solve_schwarz, solve_with_sigma, verify_interpolant)
+
     l0 = _as_complex_entry(json.loads(args.lambda0))
     x = _parse_point(args.point)
     seed = args.seed if args.seed is not None else 0
@@ -221,6 +213,8 @@ def _cmd_interp(args):
 
 
 def _cmd_mu(args):
+    from .musyn import mu_diag, mu_scaling_oracle
+
     A = _parse_matrix(args.matrix)
     out = {"matrix": A, "mu": mu_diag(A)}
     if args.oracle:
@@ -229,6 +223,10 @@ def _cmd_mu(args):
 
 
 def _cmd_synth(args):
+    import numpy as np
+
+    from .musyn import SynthesisInstance, mu_diag, synth_two_point
+
     l0 = _as_complex_entry(json.loads(args.lambda0))
     A1 = _parse_matrix(args.a1)
     A2 = _parse_matrix(args.a2)
@@ -258,6 +256,10 @@ def _cmd_synth(args):
 
 
 def _cmd_boundary(args):
+    import numpy as np
+
+    from .linalg import op_norm, pi_map
+
     x = _parse_point(args.point)
     on_b = in_distinguished_boundary(x, tol=args.tol)
     out = {"point": x, "on_boundary": on_b, "peak": None}
@@ -317,6 +319,8 @@ def _cmd_auto(args):
 
 
 def _cmd_verify(args):
+    from .interpolate import Interpolant, verify_interpolant
+
     with open(args.interpolant) as fh:
         payload = json.load(fh)
     if isinstance(payload, dict) and "interpolant" in payload:

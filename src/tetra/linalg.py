@@ -1,9 +1,12 @@
-"""2x2 complex matrix kernel.
+"""2x2 complex matrix kernel, the NumPy side.
 
-Everything downstream works with 2x2 complex matrices: Schur-class values and
-matrix representatives of tetrablock points.  This module keeps them in closed
-form — the largest singular value and Hermitian eigenvalues from one formula
-(:func:`_sv2`) — so no general-purpose eigensolver sits on the hot path.
+The solvers work with 2x2 complex matrices: Schur-class values and matrix
+representatives of tetrablock points.  This module keeps them in closed
+form — the largest singular value and Hermitian eigenvalues from one formula,
+:func:`tetra.tetrablock._sv2` for complex scalars and :func:`_sv2_np` for
+NumPy arrays — so no general-purpose eigensolver sits on the hot path.  The
+domain modules (``tetrablock``, ``autgroup``, ``metrics``) stay free of
+NumPy; this is the first module that a computation with matrices loads.
 
 A ``CMat2`` is simply a (2, 2) complex ``numpy`` array; ``CVec2`` a length-2
 complex array.  Helpers below validate and coerce.  ``op_norm`` and
@@ -14,11 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 
 import numpy as np
 
 from .errors import BadShape, NormTooLarge
+from .tetrablock import _halves, _sv2
 
 CMat2 = np.ndarray
 CVec2 = np.ndarray
@@ -92,50 +95,33 @@ def _det(m11, m12, m21, m22):
     return _cmul(m11, m22) - _cmul(m12, m21)
 
 
-def _sv2(a, b, c, d):
-    """Largest singular value of the 2x2 matrix [[a, b], [c, d]].
-
-    With phi = det/|det| (1 where det = 0) the matrix is p U + q V with U, V
-    unitary and U* V a reflection, so the largest singular value is p + q,
-    ``p = |(a + phi conj d, b - phi conj c)| / 2``,
-    ``q = |(a - phi conj d, b + phi conj c)| / 2``: nothing cancels near
-    repeated singular values.  NumPy scalars and arrays give each element
-    exactly its scalar result (products rounded by :func:`_cmul`).
-    """
-    if type(a) is complex:  # plain Python arithmetic: membership's hot path
-        det = a * d - b * c
-        r = abs(det)
-        p, q = _halves(a, b, c, d, det / r if r else 1.0)
-    else:
-        det = _det(a, b, c, d)
-        r = np.abs(det)
-        zero = r == 0
-        s = r + zero
-        phi = _complex(det.real / s + zero, det.imag / s)
-        p, q = _halves(a, b, c, d, phi, _cmul, np.abs, np.hypot)
+def _sv2_np(a, b, c, d):
+    """:func:`tetra.tetrablock._sv2` of NumPy complex scalars or arrays, each
+    element exactly its scalar result (products rounded by :func:`_cmul`);
+    within 2.5 eps relative on _sv2's pools, as np.abs rounds worse."""
+    det = _det(a, b, c, d)
+    r = np.abs(det)
+    zero = r == 0
+    s = r + zero
+    phi = _complex(det.real / s + zero, det.imag / s)
+    p, q = _halves(a, b, c, d, phi, _cmul, np.abs, np.hypot)
     return p + q
 
 
-def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):
-    """The p and q of :func:`_sv2` for the unimodular phi."""
-    u, v = mul(phi, d.conjugate()), mul(phi, c.conjugate())
-    return hypot(mod(a + u), mod(b - v)) / 2.0, hypot(mod(a - u), mod(b + v)) / 2.0
-
-
 def _sv2_ranged(M):
-    """:func:`_sv2` of a 2x2 matrix or of each matrix of a stack.  Where the
+    """:func:`_sv2_np` of a 2x2 matrix or of each matrix of a stack.  Where the
     largest singular value comes out non-finite or below 2^-500 (det over-
     or underflowed), it is redone on A 2^-e, 2^e the power of two just above
     A's largest real or imaginary part, and scaled back; others are kept."""
     with np.errstate(over="ignore", invalid="ignore"):
-        top = _sv2(*_entries(M))
+        top = _sv2_np(*_entries(M))
         redo = ~((top >= 2.0 ** -500) & (top < math.inf))
         if M.ndim == 3:
             for i in np.flatnonzero(redo):
                 top[i] = _sv2_ranged(M[i])
         elif redo:
             e = np.frexp(np.maximum(abs(M.real), abs(M.imag)).max())[1]
-            return np.ldexp(_sv2(*_entries(M * np.ldexp(1.0, -e))), e)
+            return np.ldexp(_sv2_np(*_entries(M * np.ldexp(1.0, -e))), e)
     return top
 
 

@@ -350,6 +350,27 @@ def test_audit_needs_a_sample(tmp_path, capsys, samples):
         assert error["error"]["type"] == "BadSamples"
 
 
+@pytest.mark.parametrize("command", ["interp", "verify", "member"])
+def test_a_sample_count_past_its_bound_is_refused(tmp_path, capsys, command):
+    # 10^12 samples or angles would ask for terabytes: the audit allows
+    # 100 000 samples and the grid oracle 10 000 angles
+    big = "1000000000000"
+    interp = ("interp", "--lambda0", "[-0.9, 0]", "--point", "[0.5, 0.25, 0.5]")
+    if command == "verify":
+        payload_file = tmp_path / "phi.json"
+        payload_file.write_text(json.dumps(check(capsys, "interp", *interp)))
+    argv = {
+        "interp": (*interp, "--samples", big),
+        "verify": ("verify", "--interpolant", str(tmp_path / "phi.json"), "--samples", big),
+        "member": ("member", "--point", "[0.5, 0.25, 0.5]", "--oracle-grid", big),
+    }[command]
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "BadSamples"
+
+
 @pytest.mark.parametrize("argv, kind", [
     (("interp", "--lambda0", "[-0.9, 0]", "--point", "[0.5, 0.25, 0.5]", "--t", ""),
      "JSONDecodeError"),
@@ -658,6 +679,52 @@ def test_import_leaves_argparse_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+_NUMPY_FREE_ARGV = [
+    ["member", "--point", "[0.5, 0.25, 0.5]"],
+    ["member", "--closed", "--point", "[1, 1, 1]"],
+    ["dist", "--from", "[0.5, 0.25, 0.5]"],
+    ["dist", "--from", "[0.5, 0.25, 0.125]", "--to", "[0.1, 0.2, 0.3]"],
+    ["auto", "--op", "diamond", "--x", "[0.1, 0.2, 0.02]", "--y", "[0.3, 0.1, 0.05]"],
+    ["auto", "--op", "left", "--x", "[0.1, 0.2, 0.02]", "--omega", "1", "--alpha", "0.3"],
+    ["auto", "--op", "right", "--x", "[0.1, 0.2, 0.02]", "--omega", "[0, 1]", "--alpha", "0.3"],
+    ["auto", "--op", "flip", "--x", "[0.1, 0.2, 0.02]"],
+    ["auto", "--op", "normalize", "--x", "[0.3, 0.2, 0.06]"],
+    ["--help"],
+]
+_NUMPY_BACKED = ("numpy", "tetra.linalg", "tetra.interpolate", "tetra.musyn")
+
+
+def test_member_dist_auto_and_help_leave_numpy_unloaded():
+    # a fresh process: import tetra alone, then run each command that needs
+    # no matrix; neither loads numpy or a numpy-backed module.  Afterwards
+    # every public name still resolves, each on its first access
+    probe = f"""
+import contextlib, io, json, sys
+loaded = lambda: [m for m in {_NUMPY_BACKED!r} if m in sys.modules]
+import tetra
+bare = loaded()
+from tetra.cli import run
+codes = []
+for argv in {_NUMPY_FREE_ARGV!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(run(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+after = loaded()
+missing = [n for n in tetra.__all__ if getattr(tetra, n, None) is None]
+from tetra import solve_schwarz
+print(json.dumps([bare, codes, after, missing, solve_schwarz.__module__,
+                  tetra.linalg.__name__, "__all__" in dir(tetra)]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == [
+        [], [0] * len(_NUMPY_FREE_ARGV), [], [], "tetra.interpolate", "tetra.linalg", True,
+    ]
 
 
 # --- the argv parser -----------------------------------------------------

@@ -13,7 +13,9 @@ sense, ``tetra.__all__`` lists it or ``tests/test_acceptance.py`` imports it.
 
 The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
 ``LAPACK_SITES`` only, which keeps eigensolvers off the solve path, and
-``cli.run`` alone writes a document's ``command`` and ``provenance``.
+``cli.run`` alone writes a document's ``command`` and ``provenance``.  The
+domain layer (``DOMAIN``) imports no NumPy-backed module at module level, so
+the commands that use only it never load NumPy.
 """
 import ast
 import pathlib
@@ -272,4 +274,60 @@ def test_the_check_sees_an_envelope_writer():
     assert envelope_writers(source) == {
         ("_cmd_a", "command"), ("_cmd_b", "command"), ("_cmd_b", "provenance"),
         ("run", "command"),
+    }
+
+
+# the modules that member, dist and auto load, and what they must not load
+# when imported; tetrablock defers one import of each kind to the one
+# function that needs it
+DOMAIN = ("errors.py", "tetrablock.py", "autgroup.py", "metrics.py")
+HEAVY = ("numpy", ".linalg", ".interpolate", ".musyn", ".cli")
+DEFERRED = {
+    "tetrablock.py": {
+        ("membership_grid_oracle", "numpy", "numpy"),
+        ("construct_matrix_rep", ".linalg", "mat2"),
+    },
+}
+
+
+def heavy_imports(source: str) -> set[tuple[str, str, str]]:
+    """(top-level function or "<module>", module, name) of each import of a
+    HEAVY module, or of a name from one; a relative module keeps its dots.
+    Only a function body defers an import; a class body runs on import."""
+    sites = set()
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for n in ast.walk(top):
+            if isinstance(n, ast.Import):
+                found = [(a.name, a.name) for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                found = [("." * n.level + (n.module or a.name), a.name) for a in n.names]
+            else:
+                continue
+            sites |= {(where, module, name) for module, name in found
+                      if any(module == h or module.startswith(h + ".") for h in HEAVY)}
+    return sites
+
+
+@pytest.mark.parametrize("name", DOMAIN)
+def test_the_domain_layer_imports_no_numpy_backed_module(name):
+    source = next(p for p in SRC if p.name == name).read_text()
+    assert heavy_imports(source) == DEFERRED.get(name, set())
+
+
+def test_the_check_sees_a_heavy_import():
+    source = (
+        "import numpy as np\n"
+        "from . import musyn\n"
+        "from .errors import Outside\n"
+        "def oracle(x):\n"
+        "    import numpy.linalg\n"
+        "    from .linalg import mat2, op_norm\n"
+        "class Report:\n"
+        "    from .cli import run\n"
+    )
+    assert heavy_imports(source) == {
+        ("<module>", "numpy", "numpy"), ("<module>", ".musyn", "musyn"),
+        ("oracle", "numpy.linalg", "numpy.linalg"), ("oracle", ".linalg", "mat2"),
+        ("oracle", ".linalg", "op_norm"), ("<module>", ".cli", "run"),
     }

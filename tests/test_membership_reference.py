@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from tetra.errors import NonFinite, Outside
-from tetra.linalg import _sv2
 from tetra.metrics import dist_from_origin
 from tetra.tetrablock import (
     MembershipReport,
+    _sv2,
     criterion_max,
     d_of,
     is_triangular,

@@ -21,7 +21,9 @@ from tetra.errors import (
 )
 from tetra.linalg import op_norm, pi_map
 from tetra.tetrablock import (
+    _RADII,
     GeodesicDisc,
+    _circle_max,
     beta_params,
     construct_matrix_rep,
     criterion_max,
@@ -415,6 +417,75 @@ def test_separating_polynomial_just_outside_the_closure(delta):
 def test_separating_polynomial_rejects_members():
     with pytest.raises(InsideClosure):
         separating_polynomial((0.5, 0.25, 0.5))
+
+
+def witness_pools():
+    """(x, boundary point) pairs: x = pi(s S) for symmetric S of norm 1 and
+    boundary point pi(S), with s in [1.5, 3] (30 exterior points) or
+    s = 1 + delta, delta in [1e-6, 1e-1] (30 near-boundary points); only x
+    whose coordinates all lie in the closed unit disc, the points that
+    separating_polynomial certifies with a series."""
+    rng = np.random.default_rng(26)
+    pools = {"exterior": [], "near": []}
+    for name, scale in (("exterior", lambda: rng.uniform(1.5, 3.0)),
+                        ("near", lambda: 1.0 + 10.0 ** rng.uniform(-6.0, -1.0))):
+        while len(pools[name]) < 30:
+            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            S = np.array([[z[0], z[2]], [z[2], z[1]]])
+            S /= op_norm(S)
+            x = pi_map(S * scale())
+            if max(map(abs, x)) <= 1.0:
+                pools[name].append((x, pi_map(S)))
+    return pools
+
+
+# how far the exact maximum of |Psi(., x)| on |z| = r may exceed the maximum
+# over 4096 equally spaced angles on the witness pools, relative; measured
+# 0.0052, at r = 0.9999 beside a sharp peak
+SAMPLED_GAP = 0.0053
+
+
+def test_circle_maximum_bounds_the_4096_angle_scan_on_every_radius():
+    # the scan the certificate used before it took the exact maximum: on
+    # every radius the closed form is at least the sampled maximum (up to
+    # rounding), by at most SAMPLED_GAP, and is attained on the circle (the
+    # preimage of w lies within 1.9e-13 of it, relative, on these pools)
+    eps = np.finfo(float).eps
+    angles = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    gap = 0.0
+    for x, _ in [p for pool in witness_pools().values() for p in pool]:
+        x1, x2, x3 = x
+        for r in _RADII:
+            z = r * angles
+            sampled = float(np.abs((x3 * z - x1) / (x2 * z - 1.0)).max())
+            top, w = _circle_max(x1, x2, x3, r)
+            assert sampled <= top * (1.0 + 4.0 * eps), (x, r)
+            assert abs(w) == pytest.approx(top, rel=4.0 * eps)
+            assert abs((x1 - w) / (x3 - x2 * w)) == pytest.approx(r, rel=1e-12), (x, r)
+            gap = max(gap, (top - sampled) / top)
+    assert gap <= SAMPLED_GAP
+
+
+def test_series_certificates_separate_the_witness_pools():
+    # every certificate gives |f(x)| > 1 and |f| <= 1 at the boundary point
+    # next to x and at seeded closure points; each exterior point gets one,
+    # and a near-boundary point too close for r <= 0.9999 says so
+    rng = np.random.default_rng(27)
+    closure = [pi_map(random_unitary(rng)) for _ in range(2)]
+    closure += [random_point_in_ebar(rng) for _ in range(2)]
+    certified = {}
+    for name, pool in witness_pools().items():
+        certified[name] = 0
+        for x, boundary in pool:
+            try:
+                f, cert = separating_polynomial(x)
+            except NumericalDegenerate:
+                continue
+            assert cert["branch"] == "series" and abs(cert["z"]) < 1.0
+            assert abs(f(x)) > 1.0, (x, cert)
+            assert max(abs(f(y)) for y in [boundary, *closure]) <= 1.0 + 1e-9, (x, cert)
+            certified[name] += 1
+    assert certified["exterior"] == 30 and certified["near"] > 0
 
 
 def test_construct_matrix_rep_golden():

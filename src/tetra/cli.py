@@ -9,13 +9,13 @@ on standard error.
 
 Each handler returns its document's body, exit code and RNG seed; ``run()``
 adds the ``command`` and ``provenance`` (tool version, seed and ``--tol``
-margin) that every document carries.  Each document is byte-identical to
-``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` and is built
-whole before the first write, so one that cannot be written writes nothing.
+margin).  A document is ``json.dumps(doc, sort_keys=True, indent=2,
+allow_nan=False)`` to the byte, written in one pass that writes each leaf in
+its container's loop, whole before the first write, or not at all.
 
-Options read as argparse reads them: ``--tol`` (the margin tolerance) before
-the subcommand, ``--name value`` or ``--name=value``, unique prefixes, the
-last of repeats and ``-h``; a value such as ``-1e-3`` needs the ``=`` form.
+Options read as argparse reads them, from tables built once at import: ``--tol``
+before the subcommand, ``--name value`` or ``--name=value``, unique prefixes,
+the last of repeats and ``-h``; a value such as ``-1e-3`` needs the ``=`` form.
 
 NumPy loads only in the handlers that compute with matrices: member
 (without --oracle-grid), dist, auto and -h run without it.
@@ -28,7 +28,7 @@ import math
 import re
 import sys
 import types
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _esc
 
 from . import __version__
 from .autgroup import DiscAut, act_left, act_right, diamond, flip, normalize_triangular
@@ -47,11 +47,16 @@ class _UsageError(Exception):
     pass
 
 
+_REAL = (float, int)  # the exact types of a JSON number
+_INF = math.inf
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+
 def _as_complex_entry(v) -> complex:
     try:
-        if type(v) in (int, float):  # a JSON true or false is no number
+        if type(v) in _REAL:  # a JSON true or false is no number
             return complex(v)
-        if isinstance(v, list) and len(v) == 2 and all(type(c) in (int, float) for c in v):
+        if type(v) is list and len(v) == 2 and type(v[0]) in _REAL and type(v[1]) in _REAL:
             return complex(v[0], v[1])
     except OverflowError:  # an integer past the float range
         pass
@@ -60,69 +65,68 @@ def _as_complex_entry(v) -> complex:
 
 def _parse_point(text: str) -> tuple:
     v = json.loads(text)
-    if not isinstance(v, list) or len(v) != 3:
+    if type(v) is not list or len(v) != 3:
         raise ValueError(f"expected three complex coordinates, got {text!r}")
-    return tuple(_as_complex_entry(c) for c in v)
+    return _as_complex_entry(v[0]), _as_complex_entry(v[1]), _as_complex_entry(v[2])
 
 
 def _parse_matrix(text: str) -> list:
     v = json.loads(text)
-    if not isinstance(v, list) or len(v) != 2 or any(
-        not isinstance(row, list) or len(row) != 2 for row in v
+    if type(v) is not list or len(v) != 2 or not (
+        type(v[0]) is list and len(v[0]) == 2 and type(v[1]) is list and len(v[1]) == 2
     ):
         raise ValueError(f"expected a 2x2 matrix, got {text!r}")
-    return [[_as_complex_entry(v[i][j]) for j in (0, 1)] for i in (0, 1)]
+    return [list(map(_as_complex_entry, v[0])), list(map(_as_complex_entry, v[1]))]
 
 
 def _put(v, out: list, nl: str) -> None:
-    """Append the JSON text of v to out; nl is a newline followed by the
-    indent of the line v starts on.  A complex number is written as
-    [re, im], a NumPy array (told by its type, NumPy unloaded) as nested
-    lists and floats (numpy's float64 too) as float.__repr__ writes them.
-    One direct pass: json.dumps with an indent runs json's Python encoder."""
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {v!r}")
-        out.append(float.__repr__(v))
-    elif isinstance(v, str):
-        out.append(encode_basestring_ascii(v))
-    elif isinstance(v, dict):
-        if not v:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(v):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _put(v[key], out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in v:
-            out.append(sep)
+    """Append the JSON text of v, a container or an item of no exact JSON
+    type, to out; nl is a newline and the indent of v's first line.  The loop
+    writes each float (as float.__repr__), str, bool, None, int and complex
+    ([re, im]) item by exact type and calls _put for containers and for what
+    _plain makes plain: one pass, where json.dumps(indent=2) runs Python."""
+    inner = nl + "  "
+    if type(v) is dict:
+        items = [(f"{inner}{_esc(k)}: ", item) for k, item in sorted(v.items())]
+        sep, close = "{", nl + "}"
+    elif type(v) is list or type(v) is tuple:
+        items, sep, close = zip(itertools.repeat(inner), v), "[", nl + "]"
+    else:  # one value, as the single item of no brackets
+        items, sep, close, inner = (("", _plain(v)),), "", "", nl
+    if sep and not v:  # an empty container
+        out.append(sep + close[-1:])
+        return
+    for head, item in items:
+        t = type(item)
+        if t is float:
+            if not -_INF < item < _INF:
+                raise ValueError(
+                    f"Out of range float values are not JSON compliant: {item!r}")
+            out.append(f"{sep}{head}{item!r}")
+        elif t is bool or item is None:
+            out.append(f"{sep}{head}{_LITERAL[item]}")
+        elif t is str:
+            out.append(f"{sep}{head}{_esc(item)}")
+        elif t is complex and -_INF < item.real < _INF and -_INF < item.imag < _INF:
+            out.append(f"{sep}{head}[{inner}  {item.real!r},{inner}  {item.imag!r}{inner}]")
+        elif t is int:
+            out.append(f"{sep}{head}{item!r}")
+        else:
+            out.append(sep + head)
             _put(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(v, complex):
-        _put((v.real, v.imag), out, nl)
-    elif v is None:
-        out.append("null")
-    elif v is True:
-        out.append("true")
-    elif v is False:
-        out.append("false")
-    elif isinstance(v, int):
-        out.append(int.__repr__(v))
-    elif type(v).__name__ == "ndarray" and type(v).__module__ == "numpy":
-        _put(v.tolist(), out, nl)
-    else:
-        raise TypeError(f"{type(v).__name__} is not JSON serialisable")
+        sep = ","
+    out.append(close)
+
+
+def _plain(v):
+    """v of exact JSON type: a complex as (re, im), a NumPy array (told by its
+    type, NumPy unloaded) as lists, a subclass (NumPy's float64) as its base."""
+    if type(v).__name__ == "ndarray" and type(v).__module__ == "numpy":
+        return v.tolist()
+    for base in (complex, float, int, str, dict, list, tuple):
+        if isinstance(v, base):
+            return (v.real, v.imag) if base is complex else base(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serialisable")
 
 
 def _emit(obj: dict, stream=None) -> None:
@@ -132,34 +136,26 @@ def _emit(obj: dict, stream=None) -> None:
     (stream or sys.stdout).write("".join(out))
 
 
-_CRITERIA = tuple(f"c{k}" for k in range(1, 10))
-
-
 def _cmd_member(args):
     x = _parse_point(args.point)
     rep = membership(x, closed=args.closed, tol=args.tol)
+    in_set, c1, c2, c3, c4, c5, c6, c7, c8, c9, m3, m3p, m4, m4p, m5, m6, tri, d, _ = rep
+    finite = math.isfinite(d)
     out = {
         "point": x,
         "closed": bool(args.closed),
         "report": {
-            "in_set": rep.in_set,
-            "criteria": dict(zip(_CRITERIA, rep.verdicts())),
-            "margins": {
-                "m3": rep.m3, "m3p": rep.m3p, "m4": rep.m4,
-                "m4p": rep.m4p, "m5": rep.m5, "m6": rep.m6,
-            },
-            "triangular": rep.triangular,
-            "d_value": {
-                "finite": math.isfinite(rep.d_value),
-                "value": rep.d_value if math.isfinite(rep.d_value) else None,
-            },
+            "in_set": in_set,
+            "criteria": {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "c5": c5,
+                         "c6": c6, "c7": c7, "c8": c8, "c9": c9},
+            "margins": {"m3": m3, "m3p": m3p, "m4": m4, "m4p": m4p, "m5": m5, "m6": m6},
+            "triangular": tri,
+            "d_value": {"finite": finite, "value": d if finite else None},
         },
     }
     if args.oracle_grid is not None:
-        out["oracle"] = membership_grid_oracle(
-            x, closed=args.closed, n=args.oracle_grid
-        )
-    return out, (0 if rep.in_set else 2), None
+        out["oracle"] = membership_grid_oracle(x, closed=args.closed, n=args.oracle_grid)
+    return out, (0 if in_set else 2), None
 
 
 def _cmd_dist(args):
@@ -358,7 +354,20 @@ _COMMANDS = {
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # values, though they start with "-"
 
 
-def _option(spec, arg):
+def _table(spec):
+    """A spec as _parse_argv reads it: each option's (kind, dest), --help's first
+    (argparse's prefix order), each dest's default and the required options."""
+    opts = {"--help": (bool, None)}
+    opts.update((o, (kind, o[2:].replace("-", "_"))) for o, (kind, _) in spec.items())
+    defaults = {opts[o][1]: None if d is ... else d for o, (_, d) in spec.items()}
+    return opts, defaults, tuple(o for o, (_, d) in spec.items() if d is ...)
+
+
+_TABLES = {None: _table(_TOP), **{cmd: _table(c[2]) for cmd, c in _COMMANDS.items()}}
+_CHOICES = tuple(_COMMANDS)
+
+
+def _option(opts, arg):
     """How argparse reads arg: None for a value, else (option or None, "=" text or None)."""
     if arg[:1] != "-" or arg == "-":
         return None
@@ -366,11 +375,13 @@ def _option(spec, arg):
         return "--help", (None if re.fullmatch(r"-h(=?h+)?", arg) else arg[2:])
     if arg[1] == "-":
         name, eq, text = arg.partition("=")
-        names = [o for o in ("--help", *spec) if o.startswith(name)]
-        if len(names) > 1 and name not in names:
-            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(names)}")
-        if names:
-            return (name if name in names else names[0]), (text if eq else None)
+        if name not in opts:
+            names = [o for o in opts if o.startswith(name)]
+            if len(names) > 1:
+                raise _UsageError(f"ambiguous option: {arg} could match {', '.join(names)}")
+            name = names[0] if names else None
+        if name:
+            return name, (text if eq else None)
     return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
 
 
@@ -406,28 +417,29 @@ def _parse_argv(argv) -> types.SimpleNamespace:
     The first value names cmd and "--" ends the options; every argument is
     classified before any is read, so an ambiguous option fails even after -h."""
     args = sys.argv[1:] if argv is None else list(argv)
-    values, extras, cmd, spec, k = {"tol": DEFAULT_TOL}, [], None, _TOP, 0
-    kinds = [_option(spec, arg) for arg in itertools.takewhile("--".__ne__, args)]
+    opts, defaults, required = _TABLES[None]
+    values, extras, cmd, k = dict(defaults), [], None, 0
+    kinds = [_option(opts, arg) for arg in itertools.takewhile("--".__ne__, args)]
     while k < len(kinds):
         name, text = kinds[k] or (None, None)
-        kind, k = spec.get(name, (bool,))[0], k + 1  # --help is a flag
+        k += 1
         if kinds[k - 1] is None and not cmd:
-            cmd = values["cmd"] = _value("cmd", tuple(_COMMANDS), args[k - 1])
-            spec, args, k = _COMMANDS[cmd][2], args[k:], 0
-            values.update((o[2:].replace("-", "_"), None if default is ... else default)
-                          for o, (_, default) in spec.items())
-            kinds = [_option(spec, arg) for arg in itertools.takewhile("--".__ne__, args)]
+            cmd = values["cmd"] = _value("cmd", _CHOICES, args[k - 1])
+            opts, defaults, required = _TABLES[cmd]
+            values.update(defaults)
+            args, k = args[k:], 0
+            kinds = [_option(opts, arg) for arg in itertools.takewhile("--".__ne__, args)]
         elif name is None:
             extras.append(args[k - 1])
         elif name == "--help" and text is None:
             sys.stdout.write(_help(cmd))
             raise SystemExit(0)
         else:
+            kind, dest = opts[name]  # --help is a flag
             if text is None and kind is not bool and kinds[k:k + 1] == [None]:
                 text, k = args[k], k + 1
-            values[name[2:].replace("-", "_")] = _value(name, kind, text)
-    missing = [o for o, (_, d) in spec.items()
-               if d is ... and values[o[2:].replace("-", "_")] is None]
+            values[dest] = _value(name, kind, text)
+    missing = [o for o in required if values[opts[o][1]] is None]
     if missing or not cmd:
         raise _UsageError("the following arguments are required: "
                           + (", ".join(missing) or "cmd"))

@@ -1054,6 +1054,78 @@ def test_writer_refuses_what_json_refuses_and_writes_nothing(value, error):
     assert stream.getvalue() == ""
 
 
+# every leaf type the loop writes in place, then what it hands to _put
+_LEAF_CASES = {
+    "float": 0.1, "negative zero": -0.0, "subnormal": 5e-324, "true": True,
+    "false": False, "none": None, "str": 'q"\\\u00e9', "empty str": "", "int": -7,
+    "complex": complex(1.5, -0.0), "400-digit int": -(10 ** 399), "float64": np.float64(0.1),
+    "complex128": np.complex128(3 - 4j), "ndarray": np.array([[1j, 2], [3, -4j]]),
+    "empty dict": {}, "empty list": [], "empty tuple": (),
+}
+
+
+def _nested(leaf, container, depth):
+    """leaf as the first and last item of container (dict, list or tuple),
+    depth containers down."""
+    v = leaf
+    for _ in range(depth):
+        v = {"a": v, "z": leaf} if container is dict else container([v, leaf])
+    return v
+
+
+@pytest.mark.parametrize("container", [dict, list, tuple])
+@pytest.mark.parametrize("leaf", _LEAF_CASES.values(), ids=list(_LEAF_CASES))
+def test_writer_writes_each_leaf_type_in_each_container_at_each_depth(leaf, container):
+    single = {"k": leaf} if container is dict else container([leaf])
+    for depth in (1, 2, 3, 4):
+        doc = {"doc": _nested(leaf, container, depth), "single": single}
+        assert _emitted(doc) == _dumps(doc), depth
+
+
+@pytest.mark.parametrize("bad", [
+    complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan),
+    np.complex128(complex(0.0, -math.inf)),
+], ids=["nan real", "inf imaginary", "both", "complex128"])
+@pytest.mark.parametrize("container", [dict, list, tuple])
+def test_writer_refuses_a_non_finite_complex_item_and_writes_nothing(bad, container):
+    for depth in (1, 3):
+        doc = {"a": 0.5, "b": _nested(bad, container, depth)}
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="Out of range float"):
+            cli._emit(doc, stream=stream)
+        assert stream.getvalue() == ""
+
+
+def _minimal_argv(cmd, spec):
+    """cmd with a value for each of its required options."""
+    argv = [cmd]
+    for option, (kind, default) in spec.items():
+        if default is ...:
+            argv += [option, kind[0] if isinstance(kind, tuple) else "1"]
+    return argv
+
+
+@pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+def test_every_option_of_every_command_is_parsed_with_its_default(cmd):
+    spec = cli._COMMANDS[cmd][2]
+    parsed = vars(cli._parse_argv(_minimal_argv(cmd, spec)))
+    expected = {"cmd": cmd, "tol": DEFAULT_TOL}
+    for option, (kind, default) in spec.items():
+        dest = option[2:].replace("-", "_")
+        given = kind[0] if isinstance(kind, tuple) else kind("1")
+        expected[dest] = given if default is ... else default
+    assert parsed == expected
+    # each option's value is read into its own dest, under its full name
+    for option, (kind, default) in spec.items():
+        if kind is bool:
+            argv = _minimal_argv(cmd, spec) + [option]
+            value = True
+        else:
+            value = kind[-1] if isinstance(kind, tuple) else kind("2")
+            argv = _minimal_argv(cmd, spec) + [f"{option}={value}"]
+        assert vars(cli._parse_argv(argv))[option[2:].replace("-", "_")] == value, option
+
+
 def test_readme_outputs_are_json_dumps_documents():
     records = json.loads(GOLDEN.read_text())
     outputs = [r[k] for r in records.values() for k in ("stdout", "stderr") if r[k]]

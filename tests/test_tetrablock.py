@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tetra.errors import (
 from tetra.linalg import op_norm, pi_map
 from tetra.tetrablock import (
     _RADII,
+    _quotients,
     GeodesicDisc,
     _circle_max,
     beta_params,
@@ -513,3 +515,111 @@ def test_construct_matrix_rep(rng):
 def test_membership_rejects_nonfinite():
     with pytest.raises(ValueError):
         membership((float("nan"), 0.0, 0.0))
+
+
+_DILATIONS = (1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6)
+
+
+def _accuracy_pools(rng, n=20):
+    """Seeded interior points (pi of 200 contractions of norm below 0.999)
+    and four boundary faces of the closure, n base points each, every base
+    point dilated to (s x1, s x2, s^2 x3) for each s of _DILATIONS: the
+    distinguished boundary pi(U), the triangular face |x1| = 1, triangular
+    points pi(T) with T upper triangular of norm 1, and rank one pi(u v*)."""
+    def gauss(k):
+        return rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+
+    def pi(mats):
+        return [(a[0, 0], a[1, 1], a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) for a in mats]
+
+    G = gauss(200)
+    interior = pi(G * (rng.uniform(0.0, 0.999, 200) / op_norm(G))[:, None, None])
+    Q, R = np.linalg.qr(gauss(n))
+    phases = np.diagonal(R, axis1=1, axis2=2) / abs(np.diagonal(R, axis1=1, axis2=2))
+    unimodular = np.exp(2j * np.pi * rng.uniform(size=n))
+    b = rng.uniform(0.0, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    T = np.triu(gauss(n))
+    u = gauss(n)[:, :, 0]
+    v = gauss(n)[:, :, 0]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    faces = {
+        "distinguished boundary": pi(Q * phases[:, None, :]),
+        "|x1| = 1": list(zip(unimodular, b, unimodular * b)),
+        "triangular": pi(T / op_norm(T)[:, None, None]),
+        "rank one": list(zip(u[:, 0] * v[:, 0].conj(), u[:, 1] * v[:, 1].conj(), np.zeros(n))),
+    }
+    pools = {"interior": [tuple(map(complex, x)) for x in interior]}
+    for name, base in faces.items():
+        pools[name] = [(complex(s * x1), complex(s * x2), complex(s * s * x3))
+                       for x1, x2, x3 in base for s in _DILATIONS]
+    return pools
+
+
+def test_margins_and_quotients_are_within_their_bounds_of_50_digit_arithmetic():
+    # the forward rounding error of _margins, of _quotients' D(x) and its
+    # flip and of criterion_max against the same expressions evaluated at
+    # 50 digits on the same double inputs.  The bounds are the worst errors
+    # measured on this pool; six seeds gave up to 0.50, 0.61, 2.68, 1.40 and
+    # 1.32 eps, and 120 eps per unit slope.  A kernel past its bound is a
+    # finding, not a reason for a looser bound.
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    worst = dict.fromkeys(["moduli", "cross", "margins", "quotients", "criterion_max"], 0.0)
+    per_distance = 0.0
+    with mpmath.workdps(50):
+        def exact(x):
+            x1, x2, x3 = (mpmath.mpc(c) for c in x)
+            a1, a2, a3 = abs(x1), abs(x2), abs(x3)
+            cr12 = abs(x1 - mpmath.conj(x2) * x3)
+            cr21 = abs(x2 - mpmath.conj(x1) * x3)
+            crd = abs(x1 * x2 - x3)
+            margins = (
+                (1 - a2 * a2) - (cr12 + crd), (1 - a1 * a1) - (cr21 + crd),
+                1 - (a1 * a1 - a2 * a2 + a3 * a3 + 2 * cr21),
+                1 - (-a1 * a1 + a2 * a2 + a3 * a3 + 2 * cr12),
+                1 - (a1 * a1 + a2 * a2 - a3 * a3 + 2 * crd), (1 - a3 * a3) - (cr12 + cr21),
+            )
+            return (a1, a2, a3, cr12, cr21, crd), margins
+
+        for name, pool in _accuracy_pools(np.random.default_rng(0)).items():
+            errors, slopes = [0.0] * 6, [math.inf] * 6
+            for k, x in enumerate(pool):
+                mods, margins, _, d, dflip = _quotients(*x)
+                ref_mods, ref_margins = exact(x)
+                worst["moduli"] = max(worst["moduli"], *(
+                    float(abs(mods[i] - ref_mods[i]) / ref_mods[i]) / eps
+                    for i in range(3) if ref_mods[i]))
+                worst["cross"] = max(worst["cross"], *(
+                    float(abs(mods[i] - ref_mods[i])) / eps for i in range(3, 6)))
+                for i in range(6):
+                    error = float(abs(margins[i] - ref_margins[i])) / eps
+                    errors[i] = max(errors[i], error)
+                # D and its flip: relative error, times the denominator
+                # 1 - |x2|^2 (or 1 - |x1|^2) whose cancellation it inherits
+                a1, a2, _, cr12, cr21, crd = ref_mods
+                refs = [((cr12 + crd) / (1 - a2 * a2), 1 - a2 * a2, d) if a2 < 1 else None,
+                        ((cr21 + crd) / (1 - a1 * a1), 1 - a1 * a1, dflip) if a1 < 1 else None]
+                for ref in filter(None, refs):
+                    value, scale, got = ref
+                    if got < math.inf and value:
+                        worst["quotients"] = max(
+                            worst["quotients"], float(abs(got - value) / value * scale) / eps)
+                if None not in refs and criterion_max(x) < math.inf:
+                    value = max(refs[0][0], refs[1][0])
+                    worst["criterion_max"] = max(worst["criterion_max"], float(
+                        abs(criterion_max(x) - value) / value * (1 - max(a1, a2) ** 2)) / eps)
+                if name != "interior" and k % len(_DILATIONS) == len(_DILATIONS) - 1:
+                    # the slope of each margin in s across [1 - 1e-6, 1 + 1e-6]
+                    below = exact(pool[k - 1])[1]
+                    for i in range(6):
+                        slope = float(abs(ref_margins[i] - below[i]) / 2e-6)
+                        slopes[i] = min(slopes[i], slope)
+            worst["margins"] = max(worst["margins"], *errors)
+            # where a margin is first order in s - 1 on a face, its error per
+            # unit slope is how far from the face rounding can decide it
+            per_distance = max([per_distance] + [
+                e / s for e, s in zip(errors, slopes) if 1e-6 < s < math.inf])
+    assert worst["moduli"] <= 0.51 and worst["cross"] <= 0.54, worst
+    assert worst["margins"] <= 2.44 and worst["quotients"] <= 1.20, worst
+    assert worst["criterion_max"] <= 1.18 and per_distance <= 44.8, (worst, per_distance)

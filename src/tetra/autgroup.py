@@ -25,7 +25,7 @@ from .errors import (
     OutsideDisc,
     Pole,
 )
-from .tetrablock import CPoint3, _act_left, _margins, _tri, as_cpoint3
+from .tetrablock import CPoint3, _act_left, _kernel, _margins, _tri, _validated, as_cpoint3
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -137,22 +137,22 @@ def upsilon_star(v: DiscAut) -> DiscAut:
     return DiscAut(v.omega, (v.omega * v.alpha).conjugate())
 
 
-def _triangular_base(xp: CPoint3, name: str) -> CPoint3:
-    """xp if triangular and in E, else NotTriangular or Outside naming ``name``:
-    E meets {x3 = x1 x2} in the bidisc, tested first so that the c3 margins
-    (m3, m3p), membership's verdict, cannot overflow."""
-    x1, x2, x3 = xp
-    if not _tri(x1, x2, x3):
+def _triangular_base(pt, name: str) -> CPoint3:
+    """The point of pt, from ``_validated``, if triangular and in E, else
+    NotTriangular or Outside naming ``name``: E meets {x3 = x1 x2} in the
+    bidisc, tested first so that the c3 margins (m3, m3p) cannot overflow."""
+    x1, x2, x3, a1, a2, a3 = pt
+    if not _tri(*pt):
         raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
-    if abs(x1) < 1.0 and abs(x2) < 1.0 and min(_margins(x1, x2, x3)[1][:2]) > 0.0:
-        return xp
+    if a1 < 1.0 and a2 < 1.0 and min(_margins(a1, a2, a3, *_kernel(*pt)[1:4])[:2]) > 0.0:
+        return pt[:3]
     raise Outside(f"{name} is not in the open domain")
 
 
 def normalize_triangular(x) -> tuple[DiscAut, DiscAut]:
     """Automorphism pair (v, chi) moving a triangular point of E to the
     origin: act_right(act_left(v, x), chi) = (0, 0, 0)."""
-    x1, x2, _ = _triangular_base(as_cpoint3(x), "triangular point")
+    x1, x2, _ = _triangular_base(_validated(x), "triangular point")
     v = DiscAut(1.0 + 0.0j, x1)            # z -> (z - x1)/(conj(x1) z - 1)
     chi = DiscAut(-1.0 + 0.0j, -x2.conjugate())  # z -> (z + conj(x2))/(x2 z + 1)
     return (v, chi)
@@ -168,7 +168,11 @@ def _sp_quotient(x, y) -> float:
 
     the paper's numerator grouped so that less of it cancels.  Below 1, with
     positive denominators, exactly for y in E; math.inf for y off the open
-    tridisc (tested first: nothing overflows) or a denominator not > 0."""
+    tridisc (tested first: nothing overflows) or a denominator not > 0.
+    Its relative error times the smaller (|p|^2 - |r|^2)/(|p|^2 + |r|^2) of
+    the two terms is within 2.96 eps of 50 digits, y on the pools of
+    ``tetrablock._margins`` and x seeded with |x1|, |x2| < 0.9 (six seeds:
+    2.96 eps)."""
     (x1, x2, _), (y1, y2, y3) = x, y
     if not (abs(y1) < 1.0 and abs(y2) < 1.0 and abs(y3) < 1.0):
         return math.inf
@@ -203,7 +207,7 @@ def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:
         raise OutsideDisc("interpolation nodes must lie in the open disc")
     if abs(l1 - l2) < 1e-15:
         raise BadLambda("interpolation nodes must be distinct")
-    lhs = _sp_quotient(_triangular_base(as_cpoint3(x), "x"), as_cpoint3(y))
+    lhs = _sp_quotient(_triangular_base(_validated(x), "x"), as_cpoint3(y))
     if not lhs < 1.0:
         raise Outside("y is not in the open domain")
     return SchwarzPickResult(lhs <= pseudohyperbolic(l1, l2) + 1e-12, lhs)

@@ -36,6 +36,7 @@ from .errors import Infeasible, TetraError
 from .metrics import dist_from_origin, dist_triangular_pair
 from .tetrablock import (
     DEFAULT_TOL,
+    _validated,
     in_distinguished_boundary,
     membership,
     membership_grid_oracle,
@@ -161,9 +162,10 @@ def _cmd_member(args):
 def _cmd_dist(args):
     x = _parse_point(getattr(args, "from"))
     y = None if args.to is None else _parse_point(args.to)
-    if y is None or max(abs(c) for c in y) == 0.0:
+    mods_x = _validated(x)[3:]  # NonFinite before either origin test reads a modulus
+    if y is None or max(_validated(y)[3:]) == 0.0:
         dist = dist_from_origin(x)
-    elif max(abs(c) for c in x) == 0.0:
+    elif max(mods_x) == 0.0:
         dist = dist_from_origin(y)
     else:
         dist = dist_triangular_pair(x, y)

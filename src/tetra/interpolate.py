@@ -102,7 +102,7 @@ def schwarz_feasible(lam0, x) -> tuple[bool, float]:
     solver shares; the returned margin is |lambda0| minus that maximum.
     """
     l0 = _check_lambda0(lam0)
-    margin = abs(l0) - criterion_max(as_cpoint3(x))
+    margin = abs(l0) - criterion_max(x)
     return (margin >= -EXTREMAL_RTOL * abs(l0), margin)
 
 
@@ -697,7 +697,9 @@ def verify_interpolant(phi: Interpolant, samples: int = 500, seed: int = 0,
 
     F = phi.lift_evaluate(np.append(lams, [0.0, phi.lambda0]))
     x = pi_map(F)
-    _, (m3, m3p, *_) = _margins(*(c[:n] for c in x))
+    x1, x2, x3 = (c[:n] for c in x)
+    m3, m3p, *_ = _margins(abs(x1), abs(x2), abs(x3), abs(x1 - x2.conjugate() * x3),
+                           abs(x2 - x1.conjugate() * x3), abs(x1 * x2 - x3))
     worst_margin = float(np.max(-np.minimum(m3, m3p), initial=0.0))
     worst_norm = float(np.max(op_norm(F[:n]) - 1.0, initial=0.0))
 

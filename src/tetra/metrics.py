@@ -13,12 +13,15 @@ import math
 from .autgroup import _sp_quotient, _triangular_base
 from .autgroup import pseudohyperbolic  # noqa: F401  (re-exported)
 from .errors import NotTriangular, Outside, Unsupported
-from .tetrablock import as_cpoint3, criterion_max
+from .tetrablock import _validated, criterion_max
 
 
 def dist_from_origin(x) -> float:
     """Distance from the origin of E: atanh of the maximum of the two
-    membership quotients (the Caratheodory = Kobayashi = Lempert value)."""
+    membership quotients (the Caratheodory = Kobayashi = Lempert value).
+    tanh of it has relative error times 1 - max(|x1|, |x2|)^2 within 1.23
+    eps of 50 digits on the pools of ``tetrablock._margins`` (six seeds:
+    1.79 eps)."""
     cm = criterion_max(x)
     if not cm < 1.0:
         raise Outside(f"distance quotient {cm} >= 1: point not in the domain")
@@ -34,10 +37,10 @@ def dist_triangular_pair(x, y) -> float:
     that fails.  A pair with no triangular point raises :class:`Unsupported`,
     whatever the points' membership: no formula is known for it.
     """
-    pair = (as_cpoint3(x), "first point"), (as_cpoint3(y), "second point")
+    pair = (_validated(x), "first point"), (_validated(y), "second point")
     for (base, name), (other, other_name) in (pair, pair[::-1]):
         try:
-            q = _sp_quotient(_triangular_base(base, name), other)
+            q = _sp_quotient(_triangular_base(base, name), other[:3])
         except NotTriangular:
             continue
         if not q < 1.0:

@@ -15,10 +15,10 @@ does not vanish for |z| <= 1, |w| <= 1; equivalently the image of the open
 
 Scalars are kept in plain ``complex`` arithmetic, the 2x2 singular-value
 kernel ``_sv2`` included, and NumPy is imported only inside the grid oracle,
-so the commands that need no matrix never load it.  Membership is on hot paths
-(bisection loops, scans of scattered points): each call validates its point
-once, computes its moduli, margins and quotients once, decides c2-c9 in one
-straight-line pass for its mode and builds one report, a named tuple.
+so the commands that need no matrix never load it.  On hot paths (bisection,
+scans) ``_validated`` checks a point and takes |xi|, ``_kernel`` the other
+moduli, the triangular test and D, each once, for every reader; ``_margins``
+gives margins and one pass per mode decides c2-c9 into a named-tuple report.
 """
 from __future__ import annotations
 
@@ -59,11 +59,18 @@ def _check_tol(tol) -> float:
 
 def as_cpoint3(x) -> CPoint3:
     """Coerce to a tuple of three complex scalars of finite modulus."""
+    return _validated(x)[:3]
+
+
+def _validated(x):
+    """``(x1, x2, x3, |x1|, |x2|, |x3|)``: x as three complex scalars and the
+    moduli that prove them finite (NonFinite otherwise)."""
     x1, x2, x3 = x
     x1, x2, x3 = complex(x1), complex(x2), complex(x3)
     try:  # abs raises OverflowError where finite parts have no finite modulus
-        if abs(x1) < math.inf and abs(x2) < math.inf and abs(x3) < math.inf:
-            return (x1, x2, x3)
+        a1, a2, a3 = abs(x1), abs(x2), abs(x3)
+        if a1 < math.inf and a2 < math.inf and a3 < math.inf:
+            return x1, x2, x3, a1, a2, a3
     except OverflowError:
         pass
     raise NonFinite("point coordinates must have finite moduli")
@@ -77,17 +84,19 @@ def is_triangular(x) -> bool:
     scaled by 2**-300 and x3 and the 1 by 2**-600, so that a point such as
     (1e200 + 1e200j, 1e200, 0) is not triangular; where even the scaled
     product overflows, |x1*x2| exceeds |x3| by far and x is not triangular."""
-    return _tri(*as_cpoint3(x))
+    return _tri(*_validated(x))
 
 
-def _tri(x1, x2, x3) -> bool:
-    """:func:`is_triangular` at a validated point."""
+def _tri(x1, x2, x3, a1, a2, a3) -> bool:
+    """:func:`is_triangular` from :func:`_validated`'s tuple, as :func:`_kernel`
+    decides it, but an overflowing |x1 x2| (or |x1 x2 - x3|) is decided scaled."""
     p = x1 * x2
-    ap = abs(p)
+    try:
+        crd, ap = abs(p - x3), abs(p)
+    except OverflowError:  # abs of a complex with finite parts
+        return _tri_scaled(x1, x2, x3)
     # an overflowed product makes both sides inf, so only a True is re-decided
-    return abs(p - x3) <= 1e-10 * (1.0 + ap + abs(x3)) and (
-        ap < math.inf or _tri_scaled(x1, x2, x3)
-    )
+    return crd <= 1e-10 * (1.0 + ap + a3) and (ap < math.inf or _tri_scaled(x1, x2, x3))
 
 
 def _tri_scaled(x1, x2, x3) -> bool:
@@ -104,11 +113,11 @@ def psi(z, x) -> complex:
     On triangular points the map collapses to the constant x1; otherwise
     evaluating at the pole z = 1/x2 raises :class:`PoleAtZ`.
     """
-    x1, x2, x3 = as_cpoint3(x)
+    x1, x2, x3, *_ = pt = _validated(x)
     z = complex(z)
     if not cmath.isfinite(z):
         raise NonFinite(f"z must be finite, got {z}")
-    if _tri(x1, x2, x3):
+    if _tri(*pt):
         return x1
     den = x2 * z - 1.0
     if abs(den) < 1e-14:
@@ -128,7 +137,7 @@ def d_of(x) -> float:
     ``(|x1 - conj(x2)*x3| + |x1*x2 - x3|) / (1 - |x2|^2)`` when |x2| < 1;
     ``|x1|`` on triangular points; ``math.inf`` otherwise.
     """
-    return _quotients(*as_cpoint3(x))[3]
+    return _kernel(*_validated(x))[5]
 
 
 def criterion_max(x) -> float:
@@ -137,7 +146,7 @@ def criterion_max(x) -> float:
     This is the two-quotient maximum deciding both membership-from-the-origin
     feasibility and the origin distance.  Its relative error times 1 -
     max(|x1|, |x2|)^2 is within 1.18 eps (six seeds: 1.32) as in _margins."""
-    *_, d, dflip = _quotients(*as_cpoint3(x))
+    *_, d, dflip = _kernel(*_validated(x))
     return max(d, dflip)
 
 
@@ -177,13 +186,6 @@ class MembershipReport(NamedTuple):
         return self[1:10]
 
 
-def _sym_rep_entries(x1, x2, x3):
-    """Entries of the symmetric representative [[x1, w], [w, x2]],
-    w = principal sqrt(x1*x2 - x3)."""
-    w = cmath.sqrt(x1 * x2 - x3)
-    return x1, w, w, x2
-
-
 def _sv2(a: complex, b: complex, c: complex, d: complex) -> float:
     """Largest singular value of [[a, b], [c, d]], entries complex scalars.
 
@@ -207,23 +209,17 @@ def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):
     return hypot(mod(a + u), mod(b - v)) / 2.0, hypot(mod(a - u), mod(b + v)) / 2.0
 
 
-def _margins(x1, x2, x3):
-    """Moduli and signed margins of the quadratic criteria (3)-(6) at x.
-
-    Returns the moduli ``(|x1|, |x2|, |x3|, |x1 - conj(x2) x3|,
-    |x2 - conj(x1) x3|, |x1 x2 - x3|)`` and the margins
-    ``(m3, m3p, m4, m4p, m5, m6)``, positive strictly inside per each
-    inequality.  The arithmetic is elementwise, so the coordinates may be
-    complex scalars or equal-length complex arrays.
+def _margins(a1, a2, a3, cr12, cr21, crd):
+    """Signed margins ``(m3, m3p, m4, m4p, m5, m6)`` of the quadratic
+    criteria (3)-(6), positive strictly inside per each inequality, from the
+    moduli ``|x1|, |x2|, |x3|, |x1 - conj(x2) x3|, |x2 - conj(x1) x3|`` and
+    ``|x1 x2 - x3|``.  The arithmetic is elementwise, so the moduli may be
+    floats or equal-length float arrays.
     Against 50 digits on seeded interior points and four faces of the
     closure dilated by 1 +- 1e-12 to 1e-6: |x1|, |x2|, |x3| within 0.51 eps
     relative, the other moduli 0.54 eps and the margins 2.44 eps absolute,
     44.8 eps per unit slope where first order (six seeds: 2.68, 120 eps)."""
-    a1, a2, a3 = abs(x1), abs(x2), abs(x3)
-    cr12 = abs(x1 - x2.conjugate() * x3)
-    cr21 = abs(x2 - x1.conjugate() * x3)
-    crd = abs(x1 * x2 - x3)
-    return (a1, a2, a3, cr12, cr21, crd), (
+    return (
         (1.0 - a2 * a2) - (cr12 + crd),
         (1.0 - a1 * a1) - (cr21 + crd),
         1.0 - (a1 * a1 - a2 * a2 + a3 * a3 + 2.0 * cr21),
@@ -233,21 +229,24 @@ def _margins(x1, x2, x3):
     )
 
 
-def _quotients(x1, x2, x3):
-    """``(moduli, margins, triangular, D(x), D(x2, x1, x3))`` at a validated
-    point: :func:`_margins`, :func:`_tri` and the two quotients of
-    :func:`d_of`; an overflowing modulus raises NonFinite.  D's relative error
-    times 1 - |x2|^2 (the flip's times 1 - |x1|^2) is within 1.20 eps of 50
-    digits on the pools of :func:`_margins` (six seeds: 1.40 eps)."""
+def _kernel(x1, x2, x3, a1, a2, a3):
+    """``(x1 x2 - x3, cr12, cr21, crd, triangular, D(x), D(x2, x1, x3))`` from
+    :func:`_validated`'s tuple, each product and modulus taken once (an
+    overflowing one raises NonFinite); cr12, cr21, crd as in :func:`_margins`.
+    D's relative error times 1 - |x2|^2 (the flip's times 1 - |x1|^2) is within
+    1.20 eps of 50 digits on _margins' pools (six seeds: 1.40 eps)."""
+    p = x1 * x2
+    dx = p - x3
     try:
-        mods, margins = _margins(x1, x2, x3)
-        tri = _tri(x1, x2, x3)
+        cr12 = abs(x1 - x2.conjugate() * x3)
+        cr21 = abs(x2 - x1.conjugate() * x3)
+        crd, ap = abs(dx), abs(p)
+        tri = crd <= 1e-10 * (1.0 + ap + a3) and (ap < math.inf or _tri_scaled(x1, x2, x3))
     except OverflowError:  # abs of a complex with finite parts
         raise NonFinite("a modulus at the point overflows") from None
-    a1, a2, _, cr12, cr21, crd = mods
     d = (cr12 + crd) / (1.0 - a2 ** 2) if a2 < 1.0 else a1 if tri else math.inf
     dflip = (cr21 + crd) / (1.0 - a1 ** 2) if a1 < 1.0 else a2 if tri else math.inf
-    return mods, margins, tri, d, dflip
+    return dx, cr12, cr21, crd, tri, d, dflip
 
 
 def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -277,15 +276,18 @@ def membership(x, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipR
     s = 1 - 1e-9, c5 and c4 read "outside" on about two in three such
     points.  c3 and c7 are first order on every face, and ``in_set`` is c3.
     """
-    return _report(*as_cpoint3(x), closed, tol)
+    pt = _validated(x)
+    return _report(pt, _kernel(*pt), closed, tol)
 
 
-def _report(x1, x2, x3, closed: bool = False, tol: float = DEFAULT_TOL) -> MembershipReport:
-    """:func:`membership` at a validated point, in one pass per mode."""
-    (a1, a2, a3, cr12, cr21, _), (m3, m3p, m4, m4p, m5, m6), tri, dval, dflip = (
-        _quotients(x1, x2, x3)
-    )
-    norm = _sv2(*_sym_rep_entries(x1, x2, x3))
+def _report(pt, kernel, closed: bool, tol: float) -> MembershipReport:
+    """:func:`membership` from :func:`_validated` and :func:`_kernel` at the
+    point, in one pass per mode."""
+    x1, x2, _, a1, a2, a3 = pt
+    dx, cr12, cr21, crd, tri, dval, dflip = kernel
+    m3, m3p, m4, m4p, m5, m6 = _margins(a1, a2, a3, cr12, cr21, crd)
+    w = cmath.sqrt(dx)  # the symmetric representative [[x1, w], [w, x2]]
+    norm = _sv2(x1, w, w, x2)
 
     # the bounds on a1, a2 and a3 make the quadratic criteria decisive on
     # all of C^3 (see membership); each is implied by membership itself
@@ -316,10 +318,10 @@ def _report(x1, x2, x3, closed: bool = False, tol: float = DEFAULT_TOL) -> Membe
         # denominator 1 - |x3|^2 this is exactly the criterion-(6) inequality
         c9 = a3 < 1.0 and c6
 
-    return MembershipReport(
+    return tuple.__new__(MembershipReport, (  # skips the generated __new__
         c3, c3, c2, c3, c4, c5, c6, c7, c7, c9,
         m3, m3p, m4, m4p, m5, m6, tri, dval, closed,
-    )
+    ))
 
 
 def membership_grid_oracle(x, closed: bool = False, n: int = 200) -> bool:
@@ -420,13 +422,13 @@ def in_distinguished_boundary(x, tol: float = DEFAULT_TOL) -> bool:
     """True when x1 = conj(x2) x3, |x3| = 1 and |x2| <= 1 (within tol):
     exactly the points pi(U) for 2x2 unitaries U.  A NaN, infinite or
     negative tol raises BadTolerance; an overflowing modulus, NonFinite."""
-    x1, x2, x3 = as_cpoint3(x)
+    x1, x2, x3, _, a2, a3 = _validated(x)
     tol = _check_tol(tol)
-    try:  # a modulus of finite parts may overflow; abs(x2), abs(x3) cannot
+    try:  # a modulus of finite parts may overflow
         cr12 = abs(x1 - x2.conjugate() * x3)
     except OverflowError:
         raise NonFinite("a modulus at the point overflows") from None
-    return cr12 <= tol and abs(abs(x3) - 1.0) <= tol and abs(x2) <= 1.0 + tol
+    return cr12 <= tol and abs(a3 - 1.0) <= tol and a2 <= 1.0 + tol
 
 
 def _act_left(om: complex, al: complex, x: CPoint3) -> CPoint3:
@@ -454,11 +456,11 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
     disc automorphism attached to x0.  tol is checked as in
     :func:`in_distinguished_boundary`.
     """
-    x1, x2, x3 = as_cpoint3(x0)
-    if not in_distinguished_boundary((x1, x2, x3), tol=tol):
+    if not in_distinguished_boundary(x0, tol=tol):
         raise NotPeak("the point is not on the distinguished boundary")
 
-    if _tri(x1, x2, x3):
+    x1, x2, x3, *_ = pt = _validated(x0)
+    if _tri(*pt):
         c1, c2, c3 = x1.conjugate(), x2.conjugate(), x3.conjugate()
 
         def g_tri(y) -> complex:
@@ -505,11 +507,11 @@ def separating_polynomial(x):
     which that peak passes 1.05 (else the last), and the truncated-
     geometric-series polynomial is built around it.
     """
-    x1, x2, x3 = as_cpoint3(x)
-    if _report(x1, x2, x3, closed=True).in_set:
+    pt = _validated(x)
+    if _report(pt, _kernel(*pt), True, DEFAULT_TOL).in_set:
         raise InsideClosure("the point lies in the closure")
 
-    mods = (abs(x1), abs(x2), abs(x3))
+    x1, x2, x3, *mods = pt
     j = max(range(3), key=lambda k: mods[k])
     if mods[j] > 1.0:
         def f_coord(y, _j=j) -> complex:
@@ -555,7 +557,9 @@ def construct_matrix_rep(x):
     triangular).  Raises Outside for a point outside the closure."""
     from .linalg import mat2
 
-    x1, x2, x3 = as_cpoint3(x)
-    if not _report(x1, x2, x3, closed=True).in_set:
+    pt = _validated(x)
+    kernel = _kernel(*pt)
+    if not _report(pt, kernel, True, DEFAULT_TOL).in_set:
         raise Outside("the point lies outside the closure")
-    return mat2(*_sym_rep_entries(x1, x2, x3))
+    w = cmath.sqrt(kernel[0])
+    return mat2(pt[0], w, w, pt[1])

@@ -490,6 +490,22 @@ def test_an_overflowing_coordinate_modulus_is_one_json_error(capsys, argv):
     assert error["error"]["type"] == "NonFinite"
 
 
+@pytest.mark.parametrize("point", [
+    "[0, 0, [1.5e308, 1.5e308]]",   # a coordinate whose modulus overflows
+    "[0, NaN, 0]",                  # a NaN after a zero coordinate
+])
+@pytest.mark.parametrize("option", ["--to", "--from"])
+def test_dist_validates_both_points_before_the_origin_test(capsys, option, point):
+    # the origin test reads the moduli the validation returns: neither point
+    # is mistaken for the origin or reaches the JSON writer unvalidated
+    other = "--from" if option == "--to" else "--to"
+    rc, out, err = invoke(capsys, "dist", other, "[0.1, 0, 0]", option, point)
+    assert rc == 1 and out == ""
+    error = json.loads(err)  # exactly one document
+    jsonschema.validate(error, SCHEMAS["error"])
+    assert error["error"]["type"] == "NonFinite"
+
+
 @pytest.mark.parametrize("argv", [
     ("member", "--point", "[true, false, 0]"),
     ("member", "--point", "[[0.5, false], 0, 0]"),

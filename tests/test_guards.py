@@ -3,7 +3,8 @@
 One case per guard that no other test reaches: a pole, a radius or node
 pair outside a solver's range, a stored interpolant whose variant does not
 match its re-solve, and a point whose coordinates have finite moduli while
-a modulus the membership criteria take of them overflows.
+a modulus the membership criteria take of them overflows (where only the
+triangular test is asked, that test answers).
 """
 import functools
 import json
@@ -14,7 +15,15 @@ import pytest
 
 from tetra.autgroup import diamond
 from tetra.cli import run
-from tetra.errors import BadLambda, BadShape, NonFinite, NumericalDegenerate, Pole
+from tetra.autgroup import normalize_triangular
+from tetra.errors import (
+    BadLambda,
+    BadShape,
+    NonFinite,
+    NotTriangular,
+    NumericalDegenerate,
+    Pole,
+)
 from tetra.interpolate import Interpolant, big_m, scalar_np2, solve_schwarz
 from tetra.musyn import bft_lower_bound
 from tetra.metrics import dist_from_origin
@@ -22,8 +31,10 @@ from tetra.tetrablock import (
     criterion_max,
     d_of,
     in_distinguished_boundary,
+    is_triangular,
     membership,
     membership_grid_oracle,
+    psi,
 )
 
 UPPER = [[0.3, 0.1], [0.0, 0.2]]
@@ -86,3 +97,44 @@ def test_an_overflowing_modulus_is_one_json_error(capsys, argv):
         jsonschema.validate(error, json.load(fh))
     assert error["error"]["type"] == "NonFinite"
 
+
+
+# x1 x2 overflows to inf, and even x1 x2 / 2**600 has finite parts but no
+# finite modulus: the triangular test in units of 2**600 overflows too
+SCALED_OVERFLOWING = (1e244 + 1e244j, 6e244, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    membership, functools.partial(membership, closed=True), criterion_max, d_of,
+    dist_from_origin,
+], ids=["membership", "membership closed", "criterion_max", "d_of", "dist_from_origin"])
+def test_an_overflowing_scaled_product_raises_nonfinite(call):
+    with pytest.raises(NonFinite):
+        call(SCALED_OVERFLOWING)
+
+
+# |x1 x2| is about 2.1e308, past the float range, while each coordinate's
+# modulus is finite: the triangular test decides it in units of 2**600
+TRI_OVERFLOWING = (1e154, 1.5e154 + 1.5e154j, 0.0)
+TRI_OVERFLOWING_TEXT = "[1e154, [1.5e154, 1.5e154], 0]"
+
+
+def test_an_overflowing_product_is_not_triangular():
+    assert is_triangular(TRI_OVERFLOWING) is False
+    # not triangular, so Psi is the linear-fractional map, finite off its pole
+    assert psi(0.0, TRI_OVERFLOWING) == TRI_OVERFLOWING[0]
+    assert abs(psi(0.5, TRI_OVERFLOWING)) < 1.0
+    with pytest.raises(NotTriangular):
+        normalize_triangular(TRI_OVERFLOWING)
+    with pytest.raises(NonFinite):  # membership still needs |x1 x2 - x3|
+        membership(TRI_OVERFLOWING)
+
+
+def test_normalizing_an_overflowing_product_is_one_json_error(capsys):
+    assert run(["auto", "--op", "normalize", "--x", TRI_OVERFLOWING_TEXT]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)  # exactly one document
+    with resources.files("tetra.schemas").joinpath("error.json").open() as fh:
+        jsonschema.validate(error, json.load(fh))
+    assert error["error"]["type"] == "NotTriangular"

@@ -26,6 +26,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -84,19 +85,22 @@ def is_triangular(x) -> bool:
     scaled by 2**-300 and x3 and the 1 by 2**-600, so that a point such as
     (1e200 + 1e200j, 1e200, 0) is not triangular; where even the scaled
     product overflows, |x1*x2| exceeds |x3| by far and x is not triangular."""
-    return _tri(*_validated(x))
+    return _tri(*_validated(x))[0]
 
 
-def _tri(x1, x2, x3, a1, a2, a3) -> bool:
-    """:func:`is_triangular` from :func:`_validated`'s tuple, as :func:`_kernel`
-    decides it, but an overflowing |x1 x2| (or |x1 x2 - x3|) is decided scaled."""
+def _tri(x1, x2, x3, a1, a2, a3) -> tuple[bool, float]:
+    """``(is_triangular(x), |x1 x2 - x3|)`` from :func:`_validated`'s tuple, as
+    :func:`_kernel` decides it, but where a modulus overflows as is_triangular says."""
     p = x1 * x2
     try:
         crd, ap = abs(p - x3), abs(p)
     except OverflowError:  # abs of a complex with finite parts
-        return _tri_scaled(x1, x2, x3)
-    # an overflowed product makes both sides inf, so only a True is re-decided
-    return crd <= 1e-10 * (1.0 + ap + a3) and (ap < math.inf or _tri_scaled(x1, x2, x3))
+        crd = ap = math.inf
+    try:  # an overflowed product makes both sides inf, so only a True is re-decided
+        tri = crd <= 1e-10 * (1.0 + ap + a3) and (ap < math.inf or _tri_scaled(x1, x2, x3))
+    except OverflowError:  # even scaled, |x1 x2| exceeds |x3| by far
+        tri = False
+    return tri, crd
 
 
 def _tri_scaled(x1, x2, x3) -> bool:
@@ -117,7 +121,7 @@ def psi(z, x) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise NonFinite(f"z must be finite, got {z}")
-    if _tri(*pt):
+    if _tri(*pt)[0]:
         return x1
     den = x2 * z - 1.0
     if abs(den) < 1e-14:
@@ -460,7 +464,7 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
         raise NotPeak("the point is not on the distinguished boundary")
 
     x1, x2, x3, *_ = pt = _validated(x0)
-    if _tri(*pt):
+    if _tri(*pt)[0]:
         c1, c2, c3 = x1.conjugate(), x2.conjugate(), x3.conjugate()
 
         def g_tri(y) -> complex:
@@ -504,8 +508,8 @@ def separating_polynomial(x):
     exceeds 1 in modulus (always the case for triangular exterior points)
     the coordinate functional itself certifies; otherwise the witness z is
     where |Psi(., x)| peaks on the first circle |z| = r of ``_RADII`` on
-    which that peak passes 1.05 (else the last), and the truncated-
-    geometric-series polynomial is built around it.
+    which that peak passes 1.05 (else the last), and the truncated geometric
+    series around it, summed by Horner's rule (four steps a pass), is f.
     """
     pt = _validated(x)
     if _report(pt, _kernel(*pt), True, DEFAULT_TOL).in_set:
@@ -537,12 +541,14 @@ def separating_polynomial(x):
         n_terms += 1
     scale = 1.0 / (1.0 + eps)
 
-    def f_poly(y, _z=z0, _n=n_terms, _s=scale) -> complex:
+    def f_poly(y, _z=z0, _n=n_terms, _s=scale, _one=1.0 + 0.0j) -> complex:
         y1, y2, y3 = as_cpoint3(y)
         q = y2 * _z
-        acc = 1.0 + 0.0j
-        for _ in range(_n):
-            acc = 1.0 + q * acc
+        acc = _one
+        for _ in repeat(None, _n >> 2):
+            acc = _one + q * (_one + q * (_one + q * (_one + q * acc)))
+        for _ in repeat(None, _n & 3):
+            acc = _one + q * acc
         return _s * (y1 - y3 * _z) * acc
 
     cert = {"branch": "series", "z": z0, "epsilon": eps, "degree": n_terms,

@@ -22,11 +22,12 @@ from tetra.errors import (
     NonFinite,
     NotTriangular,
     NumericalDegenerate,
+    Outside,
     Pole,
 )
 from tetra.interpolate import Interpolant, big_m, scalar_np2, solve_schwarz
 from tetra.musyn import bft_lower_bound
-from tetra.metrics import dist_from_origin
+from tetra.metrics import dist_from_origin, dist_triangular_pair
 from tetra.tetrablock import (
     criterion_max,
     d_of,
@@ -82,6 +83,17 @@ def test_an_overflowing_modulus_raises_nonfinite(call):
         call(OVERFLOWING)
 
 
+def one_json_error(capsys, argv):
+    """The error type of the one JSON error document that argv exits 1 with."""
+    assert run(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)  # exactly one document
+    with resources.files("tetra.schemas").joinpath("error.json").open() as fh:
+        jsonschema.validate(error, json.load(fh))
+    return error["error"]["type"]
+
+
 @pytest.mark.parametrize("argv", [
     ("member", "--point", OVERFLOWING_TEXT),
     ("member", "--closed", "--point", OVERFLOWING_TEXT),
@@ -89,19 +101,14 @@ def test_an_overflowing_modulus_raises_nonfinite(call):
     ("boundary", "--point", OVERFLOWING_TEXT),
 ])
 def test_an_overflowing_modulus_is_one_json_error(capsys, argv):
-    assert run(list(argv)) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    error = json.loads(err)  # exactly one document
-    with resources.files("tetra.schemas").joinpath("error.json").open() as fh:
-        jsonschema.validate(error, json.load(fh))
-    assert error["error"]["type"] == "NonFinite"
+    assert one_json_error(capsys, argv) == "NonFinite"
 
 
 
 # x1 x2 overflows to inf, and even x1 x2 / 2**600 has finite parts but no
 # finite modulus: the triangular test in units of 2**600 overflows too
 SCALED_OVERFLOWING = (1e244 + 1e244j, 6e244, 0.0)
+SCALED_OVERFLOWING_TEXT = "[[1e244, 1e244], 6e244, 0]"
 
 
 @pytest.mark.parametrize("call", [
@@ -120,21 +127,22 @@ TRI_OVERFLOWING_TEXT = "[1e154, [1.5e154, 1.5e154], 0]"
 
 
 def test_an_overflowing_product_is_not_triangular():
-    assert is_triangular(TRI_OVERFLOWING) is False
-    # not triangular, so Psi is the linear-fractional map, finite off its pole
-    assert psi(0.0, TRI_OVERFLOWING) == TRI_OVERFLOWING[0]
-    assert abs(psi(0.5, TRI_OVERFLOWING)) < 1.0
-    with pytest.raises(NotTriangular):
-        normalize_triangular(TRI_OVERFLOWING)
-    with pytest.raises(NonFinite):  # membership still needs |x1 x2 - x3|
-        membership(TRI_OVERFLOWING)
+    # where even x1 x2 / 2**600 has no finite modulus, |x1 x2| exceeds |x3|
+    # by far: the triangular test answers there too
+    for x in (TRI_OVERFLOWING, SCALED_OVERFLOWING):
+        assert is_triangular(x) is False
+        # not triangular, so Psi is the linear-fractional map, finite off its pole
+        assert psi(0.0, x) == x[0]
+        assert abs(psi(0.5, x)) < 1.0
+        with pytest.raises(NotTriangular):
+            normalize_triangular(x)
+        with pytest.raises(Outside, match="first point"):
+            dist_triangular_pair(x, (0.0, 0.0, 0.0))
+        with pytest.raises(NonFinite):  # membership still needs |x1 x2 - x3|
+            membership(x)
 
 
 def test_normalizing_an_overflowing_product_is_one_json_error(capsys):
-    assert run(["auto", "--op", "normalize", "--x", TRI_OVERFLOWING_TEXT]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    error = json.loads(err)  # exactly one document
-    with resources.files("tetra.schemas").joinpath("error.json").open() as fh:
-        jsonschema.validate(error, json.load(fh))
-    assert error["error"]["type"] == "NotTriangular"
+    for text in (TRI_OVERFLOWING_TEXT, SCALED_OVERFLOWING_TEXT):
+        argv = ["auto", "--op", "normalize", "--x", text]
+        assert one_json_error(capsys, argv) == "NotTriangular"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from tetra.errors import BadShape, NormTooLarge
-from tetra.interpolate import big_m
+from tetra.interpolate import _defects, big_m
 from tetra.linalg import (
+    _abs2,
     _cdiv,
     _cmul,
+    _isqrt_times,
     _require_contraction,
     _sv2_np,
     as_cmat2,
@@ -207,16 +209,10 @@ def test_contraction_check_gives_op_norms_verdict(rng):
     _require_contraction(mat2(1e-300, 1e-300j, 0, 1e-310))
 
 
-def test_sv2_flavours_are_within_their_bounds_of_50_digit_arithmetic():
-    # the forward rounding error of each flavour against the largest
-    # singular value evaluated at 50 digits on the same double inputs:
-    # Gaussian and scaled unitary matrices at scales 1e-3 to 1e3, and a
-    # third 1e-12 to 1e-3 from a unitary.  The bounds are the worst errors
-    # measured on this pool, 1.594 eps for the complex _sv2 and 1.711 eps
-    # for _sv2_np (six seeds gave up to 1.77 and 2.45 eps; np.abs rounds a
-    # complex modulus worse than abs does).  A kernel past its bound is a
-    # finding, not a reason for a looser bound.
-    mpmath = pytest.importorskip("mpmath")
+def accuracy_pool():
+    """The 2000 seeded matrices of the 50-digit tests: Gaussian and scaled
+    unitary matrices at scales 1e-3 to 1e3, and a third 1e-12 to 1e-3 from a
+    unitary."""
     rng = np.random.default_rng(2)
     mats = []
     for i in range(2000):
@@ -228,7 +224,20 @@ def test_sv2_flavours_are_within_their_bounds_of_50_digit_arithmetic():
         else:
             A = random_unitary(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
         mats.append(A)
-    mats = np.array(mats)
+    return np.array(mats)
+
+
+def test_sv2_flavours_are_within_their_bounds_of_50_digit_arithmetic():
+    # the forward rounding error of each flavour against the largest
+    # singular value evaluated at 50 digits on the same double inputs:
+    # Gaussian and scaled unitary matrices at scales 1e-3 to 1e3, and a
+    # third 1e-12 to 1e-3 from a unitary.  The bounds are the worst errors
+    # measured on this pool, 1.594 eps for the complex _sv2 and 1.711 eps
+    # for _sv2_np (six seeds gave up to 1.77 and 2.45 eps; np.abs rounds a
+    # complex modulus worse than abs does).  A kernel past its bound is a
+    # finding, not a reason for a looser bound.
+    mpmath = pytest.importorskip("mpmath")
+    mats = accuracy_pool()
     eps = np.finfo(float).eps
     worst = {"complex": 0.0, "numpy": 0.0}
     with mpmath.workdps(50):
@@ -244,3 +253,61 @@ def test_sv2_flavours_are_within_their_bounds_of_50_digit_arithmetic():
     # the NumPy flavour gives a stack the same bits as each matrix alone
     single = [_sv2_np(*A.reshape(4)) for A in mats]
     assert same_bits(_sv2_np(*mats.reshape(-1, 4).T), single)
+
+
+def test_pi_map_is_within_its_bound_of_50_digit_arithmetic():
+    # a11 and a22 are copied; det A = a11 a22 - a12 a21, against 50 digits on
+    # the same double entries, has absolute error within 0.897 eps of
+    # |a11 a22| + |a12 a21| on the 50-digit pool, for each matrix alone and
+    # on the stack, which gives the same bits (six seeds: 1.073 eps)
+    mpmath = pytest.importorskip("mpmath")
+    mats = accuracy_pool()
+    stacked = pi_map(mats)
+    eps = np.finfo(float).eps
+    worst = {"scalar": 0.0, "stacked": 0.0}
+    with mpmath.workdps(50):
+        for i, A in enumerate(mats):
+            a, b, c, d = A.ravel().tolist()
+            x = pi_map(A)
+            assert x[:2] == (a, d) and (stacked[0][i], stacked[1][i]) == (a, d)
+            a, b, c, d = (mpmath.mpc(z) for z in (a, b, c, d))
+            ref, scale = a * d - b * c, abs(a * d) + abs(b * c)
+            for flavour, det in (("scalar", x[2]), ("stacked", complex(stacked[2][i]))):
+                worst[flavour] = max(worst[flavour], float(abs(det - ref) / scale) / eps)
+    assert worst["scalar"] <= 0.90 and worst["stacked"] <= 0.90, worst
+
+
+def test_isqrt_times_is_within_its_bound_of_50_digit_arithmetic():
+    # P^{-1/2} x against the same expression at 50 digits on the same double
+    # inputs, for P = A*A with x = A's first row, and for the defect
+    # P = 1 - Z*Z of Z = A / (op_norm(A) (1 + 10^-u)), u in 1..6, as
+    # interpolate._defects forms it (cond P up to 4.7e5): the relative error
+    # in the 2-norm is within 2.706 eps times sqrt(cond P) on the 50-digit
+    # pool (six seeds: 2.706); unscaled it reaches 121.5 eps
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    cases = []
+    for i, A in enumerate(accuracy_pool()):
+        a, b, c, d = A.ravel().tolist()
+        p11, p22 = _abs2(a) + _abs2(c), _abs2(b) + _abs2(d)
+        p12 = a.conjugate() * b + c.conjugate() * d
+        cases.append((p11, p12, p22, p11 * p22 - _abs2(p12), a, b))
+        Z = A / (op_norm(A) * (1.0 + 10.0 ** -(1.0 + 5.0 * (i * 0.618 % 1.0))))
+        cases.append((*_defects(Z.ravel().tolist())[0], a / abs(a), b))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for args in cases:
+            if not args[3] > 0.0:
+                continue  # rounding left P singular
+            v1, v2 = _isqrt_times(*args)
+            p11, p12, p22, det, x1, x2 = (mpmath.mpmathify(t) for t in args)
+            s = mpmath.sqrt(det)
+            t = mpmath.sqrt(p11 + p22 + 2 * s)
+            r11, r22 = p11 + s, p22 + s
+            dd = (r11 * r22 - abs(p12) ** 2) / t
+            ref1, ref2 = (r22 * x1 - p12 * x2) / dd, (r11 * x2 - mpmath.conj(p12) * x1) / dd
+            top = ((p11 + p22) + mpmath.sqrt((p11 - p22) ** 2 + 4 * abs(p12) ** 2)) / 2
+            err = mpmath.sqrt((abs(v1 - ref1) ** 2 + abs(v2 - ref2) ** 2)
+                              / (abs(ref1) ** 2 + abs(ref2) ** 2))
+            worst = max(worst, float(err / eps / (top / mpmath.sqrt(det))))
+    assert worst <= 2.71, worst

@@ -4,6 +4,7 @@ import functools
 import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from conftest import (
 )
 
 VERTICES = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 # --- D and the linear fractional maps ------------------------------------
@@ -494,6 +496,67 @@ def test_series_certificates_separate_the_witness_pools():
             assert max(abs(f(y)) for y in [boundary, *closure]) <= 1.0 + 1e-9, (x, cert)
             certified[name] += 1
     assert certified["exterior"] == 30 and certified["near"] > 0
+
+
+def one_step_series(y, cert):
+    """f(y) as the series certificate's loop gave it with one Horner step,
+    1.0 + q acc with a float 1.0, per pass."""
+    y1, y2, y3 = (complex(c) for c in y)
+    z = cert["z"]
+    q, acc = y2 * z, 1.0 + 0.0j
+    for _ in range(cert["degree"]):
+        acc = 1.0 + q * acc
+    return (1.0 / (1.0 + cert["epsilon"])) * (y1 - y3 * z) * acc
+
+
+def test_series_matches_the_one_step_loop_at_every_degree_residue():
+    # the certificate takes four steps per pass and then the degree mod 4;
+    # f must give the one-step loop's bits at x and at closure points, at
+    # certified degrees 1-8 and at degrees 0-9 of one certificate (no
+    # certificate has degree 0: its witness has |z| >= 0.5 > epsilon), which
+    # f's keyword default _n sets
+    rng = np.random.default_rng(29)
+    closure = [pi_map(random_unitary(rng)) for _ in range(2)]
+    closure += [random_point_in_ebar(rng) for _ in range(4)]
+    by_degree = {}
+    while len(by_degree) < 8:
+        polar = rng.uniform(0.0, 1.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        x = tuple(complex(c) for c in polar)
+        if not membership(x, closed=True).in_set:
+            f, cert = separating_polynomial(x)
+            if cert["degree"] <= 8:
+                by_degree.setdefault(cert["degree"], (x, f, cert))
+    assert sorted(by_degree) == list(range(1, 9))
+    for x, f, cert in by_degree.values():
+        for y in (x, *closure):
+            assert repr(f(y)) == repr(one_step_series(y, cert)), (x, y, cert)
+    x, f, cert = by_degree[5]
+    for n in range(10):
+        for y in (x, *closure):
+            want = one_step_series(y, {**cert, "degree": n})
+            assert repr(f(y, _n=n)) == repr(want), (n, y)
+
+
+def test_series_matches_the_one_step_loop_on_the_benchmark_near_stream():
+    # the near-boundary points of the geometry_scan workload, which ignore
+    # its seed, with the closure points each certificate is checked at there
+    sys.path.insert(0, str(BENCH))
+    try:
+        from tetrabench.workloads import GeometryScan
+    finally:
+        sys.path.remove(str(BENCH))
+    degrees = []
+    for kind, x, extra in GeometryScan(1, blocks=28).pool:
+        if kind != "near":
+            continue
+        try:
+            f, cert = separating_polynomial(x)
+        except NumericalDegenerate:
+            continue
+        for y in (x, *extra["closure"]):
+            assert repr(f(y)) == repr(one_step_series(y, cert)), (x, y, cert)
+        degrees.append(cert["degree"])
+    assert len(degrees) >= 10 and max(degrees) > 100_000 and min(degrees) < 1000
 
 
 def test_construct_matrix_rep_golden():

@@ -18,7 +18,8 @@ before the subcommand, ``--name value`` or ``--name=value``, unique prefixes,
 the last of repeats and ``-h``; a value such as ``-1e-3`` needs the ``=`` form.
 
 NumPy loads only in the handlers that compute with matrices: member
-(without --oracle-grid), dist, auto and -h run without it.
+(without --oracle-grid), dist, auto, mu (without --oracle) and -h run
+without it.
 """
 from __future__ import annotations
 
@@ -211,11 +212,12 @@ def _cmd_interp(args):
 
 
 def _cmd_mu(args):
-    from .musyn import mu_diag, mu_scaling_oracle
+    from .musyn import mu_diag
 
     A = _parse_matrix(args.matrix)
     out = {"matrix": A, "mu": mu_diag(A)}
-    if args.oracle:
+    if args.oracle:  # the one part of mu that computes with NumPy
+        from .musyn import mu_scaling_oracle
         out["oracle"] = mu_scaling_oracle(A)
     return out, 0, None
 

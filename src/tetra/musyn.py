@@ -5,7 +5,8 @@ depends only on pi(A) = (a11, a22, det A): mu(A) < 1 exactly when pi(A)
 lies in the tetrablock.  That reduction turns the robust-stabilisation
 style interpolation problems here into tetrablock geometry:
 
-* ``mu_diag`` computes mu by bisection on the membership criterion, with
+* ``mu_diag`` computes mu by bisection on the membership criterion, in
+  plain complex arithmetic (NumPy loads only in the functions below), with
   ``mu_scaling_oracle`` as an independent cross-check: the operator norm
   at the balancing diagonal scaling, in closed form, which equals mu for
   this 2-block structure (Packard & Doyle, Automatica 1993),
@@ -20,19 +21,17 @@ style interpolation problems here into tetrablock geometry:
 """
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 from .autgroup import schwarz_pick_triangular
 from .errors import BadShape, NumericalDegenerate, Outside, TooManyPoints
-from .interpolate import Interpolant, _check_lambda0, schwarz_feasible, solve_schwarz
-from .linalg import CMat2, as_cmat2, mat2, op_norm, pi_map
 from .tetrablock import as_cpoint3, membership
 
 _OFFDIAG_TOL = 1e-13
 _PI_MAX = 1e150   # input bound of mu_diag (on pi(A)) and mu_scaling_oracle (on A)
 MU_RTOL = 1e-9    # mu_diag's bisection stop, relative to the radius
+_NO_ROW = (str, bytes, dict)
 
 
 def mu_diag(A) -> float:
@@ -43,11 +42,26 @@ def mu_diag(A) -> float:
     the closed tetrablock, found by bisection to ``MU_RTOL`` relative to r
     (membership is monotone in r because the domain is starlike under this
     scaling).  As det(1 - AX) = 1 - a11 x1 - a22 x2 + det(A) x1 x2, mu is 0
-    exactly when pi(A) = (0, 0, 0).  Raises NumericalDegenerate where the
-    bisection's squares overflow: pi(A) beyond 1e150 or mu(A) below 1e-150.
+    exactly when pi(A) = (0, 0, 0).  A is read once, as four complex numbers:
+    BadShape for another shape or a non-finite entry, NumericalDegenerate where
+    the bisection's squares overflow: pi(A) beyond 1e150 or mu(A) below 1e-150.
     """
-    a, b, p = x = pi_map(as_cmat2(A))
-    if not (np.abs(x) < _PI_MAX).all():
+    try:  # an array through tolist(); a str, bytes or dict unpacks like no row
+        r1, r2 = rows = A.tolist() if hasattr(A, "tolist") else A
+        if any(isinstance(r, _NO_ROW) for r in (rows, r1, r2)):
+            raise TypeError
+        (a11, a12), (a21, a22) = r1, r2
+        e = a11, a12, a21, a22 = complex(a11), complex(a12), complex(a21), complex(a22)
+    except (TypeError, ValueError, OverflowError):
+        raise BadShape(f"expected a 2x2 matrix, got {type(A).__name__}") from None
+    if not all(map(cmath.isfinite, e)):
+        raise BadShape("matrix entries must be finite")
+    x = a, b, p = a11, a22, a11 * a22 - a12 * a21
+    try:  # abs raises OverflowError where finite parts have no finite modulus
+        small = abs(a) < _PI_MAX and abs(b) < _PI_MAX and abs(p) < _PI_MAX
+    except OverflowError:
+        small = False
+    if not small:
         raise NumericalDegenerate(f"pi(A) = {x} overflows: a modulus reaches 1e150")
     if not any(x):
         return 0.0
@@ -84,16 +98,18 @@ def mu_scaling_oracle(A) -> float:
     Raises NumericalDegenerate when an entry of A reaches 1e150, the bound
     below which no scaled norm overflows.
     """
+    from .linalg import as_cmat2, op_norm
     M = as_cmat2(A)
-    if not (np.abs(M) < _PI_MAX).all():
-        raise NumericalDegenerate(f"an entry of A reaches 1e150: {np.abs(M).max():.3e}")
+    if not (abs(M) < _PI_MAX).all():
+        raise NumericalDegenerate(f"an entry of A reaches 1e150: {abs(M).max():.3e}")
     if M[0, 1] == 0 or M[1, 0] == 0:
         return max(abs(complex(M[0, 0])), abs(complex(M[1, 1])))
     return op_norm(_dscale(M, (math.log(abs(M[1, 0])) - math.log(abs(M[0, 1]))) / 2.0))
 
 
-def _dscale(T, s: float) -> CMat2:
+def _dscale(T, s: float):
     """The diagonal scaling diag(e^s, 1) T diag(e^-s, 1)."""
+    from .linalg import mat2
     d = math.exp(s)
     return mat2(T[0, 0], T[0, 1] * d, T[1, 0] / d, T[1, 1])
 
@@ -125,10 +141,9 @@ def _corners(M) -> tuple[bool, bool]:
     return abs(M[0, 1]) > _OFFDIAG_TOL, abs(M[1, 0]) > _OFFDIAG_TOL
 
 
-def _corner_shape(A1) -> tuple[str, complex]:
-    """Classify A1 as 'upper'/'lower'/'zero' one-corner shape; returns the
-    corner scalar zeta."""
-    M = as_cmat2(A1)
+def _corner_shape(M) -> tuple[str, complex]:
+    """Classify the 2x2 array M (an instance's A1) as 'upper'/'lower'/'zero'
+    one-corner shape; returns the corner scalar zeta."""
     if max(abs(M[0, 0]), abs(M[1, 1])) > _OFFDIAG_TOL:
         raise BadShape("A1 must have zero diagonal")
     up, low = _corners(M)
@@ -147,6 +162,8 @@ class SynthesisInstance:
     (non-diagonal)."""
 
     def __init__(self, lambda0, A1, A2):
+        from .interpolate import _check_lambda0
+        from .linalg import as_cmat2
         self.lambda0 = _check_lambda0(lambda0)
         self.A1 = as_cmat2(A1)
         self.A2 = as_cmat2(A2)
@@ -158,28 +175,29 @@ class SynthesisInstance:
             )
 
 
-def _scaled_lift(A2: CMat2, l0: complex):
-    def F(lam) -> CMat2:
+def _scaled_lift(A2, l0: complex):
+    def F(lam):
         return (complex(lam) / l0) * A2
 
     return F
 
 
-def _conjugated_lift(phi: Interpolant, delta: complex, transpose: bool):
+def _conjugated_lift(phi, delta: complex, transpose: bool):
+    import numpy as np
     D = np.array([[delta, 0.0], [0.0, 1.0]])
     Dinv = np.array([[1.0 / delta, 0.0], [0.0, 1.0]])
 
-    def F(lam) -> CMat2:
+    def F(lam):
         G = D @ phi.lift_evaluate(lam) @ Dinv
         return G.T if transpose else G
 
     return F
 
 
-def _triangular_corner_lift(A2: CMat2, l0: complex):
+def _triangular_corner_lift(A2, l0: complex):
     a, b = A2[0, 0], A2[1, 1]
 
-    def F(lam) -> CMat2:
+    def F(lam):
         lamc = complex(lam)
         out = A2.copy()
         out[0, 0] = lamc * a / l0
@@ -200,6 +218,8 @@ def synth_two_point(inst: SynthesisInstance):
     (feasible, F) with F a matrix-valued evaluator, or (feasible, None)
     when infeasible.
     """
+    from .interpolate import schwarz_feasible, solve_schwarz
+    from .linalg import pi_map
     l0 = inst.lambda0
     A2 = inst.A2
     x = pi_map(A2)
@@ -241,6 +261,7 @@ def synth_two_point_general(lam1, lam2, A, B) -> bool:
     """Feasibility of the two-interior-point problem F(lam1) = A (triangular
     non-diagonal), F(lam2) = B (non-diagonal), mu(F) <= 1, via the explicit
     Schwarz-Pick criterion at the triangular base point pi(A)."""
+    from .linalg import as_cmat2, pi_map
     Am = as_cmat2(A)
     Bm = as_cmat2(B)
     if all(_corners(Am)):
@@ -256,9 +277,10 @@ def lift_to_sigma(phi):
     """Matrix lift F = [[phi1, phi1 phi2 - phi3], [1, phi2]] of a
     tetrablock-valued map: pi(F) = phi identically, and mu(F) <= 1 wherever
     phi lies in the closed tetrablock."""
+    from .linalg import mat2
     evaluate = phi.evaluate if hasattr(phi, "evaluate") else phi
 
-    def F(lam) -> CMat2:
+    def F(lam):
         x1, x2, x3 = as_cpoint3(evaluate(lam))
         return mat2(x1, x1 * x2 - x3, 1.0, x2)
 
@@ -269,6 +291,7 @@ def _bft_norm(Lh, Lh_inv, mats) -> float:
     """Norm of the compressed commutant operator with blocks mats[j] at the
     Szego-kernel span over the nodes, via the similarity by Lh = L*, L the
     Cholesky factor of the nodes' Gram matrix."""
+    import numpy as np
     n = len(mats)
     B = np.zeros((2 * n, 2 * n), dtype=complex)
     for j, F in enumerate(mats):
@@ -290,6 +313,8 @@ def bft_lower_bound(points, targets) -> float:
     It is an upper bound on the true infimum, with no claim that the
     infimum is attained.
     """
+    import numpy as np
+    from .linalg import as_cmat2
     pts = [complex(z) for z in points]
     mats = [as_cmat2(T) for T in targets]
     if len(pts) != len(mats):

@@ -489,13 +489,13 @@ def peak_function(x0, tol: float = DEFAULT_TOL):
 _RADII = (0.5, 0.8, 0.9, 0.95, 0.98, 0.995, 0.999, 0.9999)
 
 
-def _circle_max(x1, x2, x3, r: float) -> tuple[float, complex]:
-    """(max, value w of Psi there) of |Psi(z, x)| on |z| = r < 1/|x2|: the
-    image circle has centre c = (x1 - r^2 conj(x2) x3)/(1 - r^2 |x2|^2) and
-    radius R = r |x1 x2 - x3|/(1 - r^2 |x2|^2), so w = c (1 + R/|c|)."""
-    k = 1.0 - (r * abs(x2)) ** 2
+def _circle_max(x1, x2, x3, a2: float, crd: float, r: float) -> tuple[float, complex]:
+    """(max, value w of Psi there) of |Psi(z, x)| on |z| = r < 1/a2, a2 = |x2|:
+    the image circle has centre c = (x1 - r^2 conj(x2) x3)/(1 - r^2 a2^2) and
+    radius R = r crd/(1 - r^2 a2^2), crd = |x1 x2 - x3|, so w = c (1 + R/|c|)."""
+    k = 1.0 - (r * a2) ** 2
     c = (x1 - r * r * x2.conjugate() * x3) / k
-    big_r = r * abs(x1 * x2 - x3) / k
+    big_r = r * crd / k
     ac = abs(c)
     return ac + big_r, c + big_r * (c / ac if ac else 1.0)
 
@@ -512,14 +512,15 @@ def separating_polynomial(x):
     series around it, summed by Horner's rule (four steps a pass), is f.
     """
     pt = _validated(x)
-    if _report(pt, _kernel(*pt), True, DEFAULT_TOL).in_set:
+    kernel = _kernel(*pt)
+    if _report(pt, kernel, True, DEFAULT_TOL).in_set:
         raise InsideClosure("the point lies in the closure")
 
     x1, x2, x3, *mods = pt
     j = max(range(3), key=lambda k: mods[k])
     if mods[j] > 1.0:
-        def f_coord(y, _j=j) -> complex:
-            return as_cpoint3(y)[_j]
+        def f_coord(y) -> complex:
+            return as_cpoint3(y)[j]
 
         cert = {"branch": "coordinate", "index": j, "value_at_x": mods[j]}
         return f_coord, cert
@@ -527,7 +528,7 @@ def separating_polynomial(x):
     # non-triangular exterior with all coordinates inside the closed polydisc:
     # sup over the disc of |Psi(., x)| exceeds 1; the peak grows with r
     for r in _RADII:
-        best_val, w = _circle_max(x1, x2, x3, r)
+        best_val, w = _circle_max(x1, x2, x3, mods[1], kernel[3], r)
         if best_val > 1.05:
             break
     z0 = (x1 - w) / (x3 - x2 * w) if best_val > 1.0 + 1e-9 else math.nan
@@ -539,21 +540,25 @@ def separating_polynomial(x):
     n_terms = max(0, math.ceil(math.log(eps) / math.log(az)) - 1)
     while az ** (n_terms + 1) > eps:
         n_terms += 1
-    scale = 1.0 / (1.0 + eps)
-
-    def f_poly(y, _z=z0, _n=n_terms, _s=scale, _one=1.0 + 0.0j) -> complex:
-        y1, y2, y3 = as_cpoint3(y)
-        q = y2 * _z
-        acc = _one
-        for _ in repeat(None, _n >> 2):
-            acc = _one + q * (_one + q * (_one + q * (_one + q * acc)))
-        for _ in repeat(None, _n & 3):
-            acc = _one + q * acc
-        return _s * (y1 - y3 * _z) * acc
-
     cert = {"branch": "series", "z": z0, "epsilon": eps, "degree": n_terms,
             "psi_at_z": best_val}
-    return f_poly, cert
+    return _series(z0, n_terms, 1.0 / (1.0 + eps)), cert
+
+
+def _series(z: complex, n: int, s: float):
+    """The certificate y -> s (y1 - y3 z)(1 + q + ... + q^n), q = y2 z, by Horner's
+    rule: four steps acc = 1 + q acc a pass, then n mod 4, each 1 a complex literal."""
+    def f_poly(y) -> complex:
+        y1, y2, y3 = as_cpoint3(y)
+        q = y2 * z
+        acc = 1+0j
+        for _ in repeat(None, n >> 2):
+            acc = 1+0j + q * (1+0j + q * (1+0j + q * (1+0j + q * acc)))
+        for _ in repeat(None, n & 3):
+            acc = 1+0j + q * acc
+        return s * (y1 - y3 * z) * acc
+
+    return f_poly
 
 
 def construct_matrix_rep(x):

@@ -743,6 +743,40 @@ print(json.dumps([bare, codes, after, missing, solve_schwarz.__module__,
     ]
 
 
+_MU_ARGV = ["mu", "--matrix", "[[0.5, [0, 0.5]], [[0, 0.5], 0.5]]"]
+
+
+def test_mu_without_oracle_leaves_numpy_unloaded():
+    # a fresh process: mu, also on a non-finite and an overflowing matrix,
+    # loads no numpy-backed module but musyn; --oracle then loads NumPy and
+    # prints the scaling oracle beside the bisection's value
+    probe = f"""
+import contextlib, io, json, sys
+from tetra.cli import run
+docs, codes = [], []
+for argv in ({_MU_ARGV!r}, ["mu", "--matrix", "[[NaN, 0], [0, 0]]"],
+             ["mu", "--matrix", "[[1e300, 0], [0, 1e300]]"], {_MU_ARGV!r} + ["--oracle"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        codes.append(run(argv))
+    docs.append(json.loads(out.getvalue()))
+    if len(docs) == 3:
+        before = [m for m in {_NUMPY_BACKED!r} if m in sys.modules]
+print(json.dumps([codes, before, "numpy" in sys.modules, docs]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    codes, before, numpy_after, docs = json.loads(out.stdout)
+    assert codes == [0, 1, 1, 0]
+    assert before == ["tetra.musyn"] and numpy_after
+    assert repr(docs[0]["mu"]) == "0.7071067809481405" and "oracle" not in docs[0]
+    assert docs[1]["error"]["type"] == "BadShape"
+    assert docs[2]["error"]["type"] == "NumericalDegenerate"
+    assert repr(docs[3]["mu"]) == "0.7071067809481405"
+    assert repr(docs[3]["oracle"]) == "0.7071067811865476"
+
+
 # --- the argv parser -----------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):

@@ -15,7 +15,8 @@ The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
 ``LAPACK_SITES`` only, which keeps eigensolvers off the solve path, and
 ``cli.run`` alone writes a document's ``command`` and ``provenance``.  The
 domain layer (``DOMAIN``) imports no NumPy-backed module at module level, so
-the commands that use only it never load NumPy.
+the commands that use only it never load NumPy; nor does ``musyn``, whose
+``mu_diag`` is plain complex arithmetic.
 """
 import ast
 import pathlib
@@ -290,14 +291,30 @@ DEFERRED = {
 }
 
 
+def _scopes(tree: ast.Module):
+    """(name, node) of each top-level function, each method ("Class.method")
+    and each other top-level statement ("<module>"), class bodies included."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{top.name}.{item.name}", item
+                else:
+                    yield "<module>", item
+        else:
+            yield "<module>", top
+
+
 def heavy_imports(source: str) -> set[tuple[str, str, str]]:
-    """(top-level function or "<module>", module, name) of each import of a
-    HEAVY module, or of a name from one; a relative module keeps its dots.
-    Only a function body defers an import; a class body runs on import."""
+    """(top-level function, "Class.method" or "<module>", module, name) of
+    each import of a HEAVY module, or of a name from one; a relative module
+    keeps its dots.  Only a function body defers an import; a class body
+    runs on import."""
     sites = set()
-    for top in ast.parse(source).body:
-        where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
-        for n in ast.walk(top):
+    for where, scope in _scopes(ast.parse(source)):
+        for n in ast.walk(scope):
             if isinstance(n, ast.Import):
                 found = [(a.name, a.name) for a in n.names]
             elif isinstance(n, ast.ImportFrom):
@@ -325,9 +342,21 @@ def test_the_check_sees_a_heavy_import():
         "    from .linalg import mat2, op_norm\n"
         "class Report:\n"
         "    from .cli import run\n"
+        "    def load(self):\n"
+        "        from .interpolate import solve_schwarz\n"
     )
     assert heavy_imports(source) == {
         ("<module>", "numpy", "numpy"), ("<module>", ".musyn", "musyn"),
         ("oracle", "numpy.linalg", "numpy.linalg"), ("oracle", ".linalg", "mat2"),
         ("oracle", ".linalg", "op_norm"), ("<module>", ".cli", "run"),
+        ("Report.load", ".interpolate", "solve_schwarz"),
     }
+
+
+def test_musyn_imports_no_numpy_backed_module_at_module_level():
+    # mu_diag computes in plain complex arithmetic, so `tetra mu` can run
+    # without NumPy; the functions that compute with matrices import it
+    source = next(p for p in SRC if p.name == "musyn.py").read_text()
+    scopes = {where for where, _, _ in heavy_imports(source)}
+    assert "<module>" not in scopes and "mu_diag" not in scopes
+    assert {"mu_scaling_oracle", "SynthesisInstance.__init__", "bft_lower_bound"} <= scopes

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tetra.errors import BadShape, NumericalDegenerate, Outside, TooManyPoints
+from tetra.errors import BadShape, NumericalDegenerate, Outside, TetraError, TooManyPoints
 from tetra.linalg import as_cmat2, mat2, op_norm, pi_map
 from tetra.musyn import (
     MU_RTOL,
@@ -72,6 +72,54 @@ def test_mu_diag_out_of_range_raises():
     for M in ([[1e300, 1e300], [1e300, 1e300]], [[1e300, 0.0], [0.0, 0.0]]):
         with pytest.raises(NumericalDegenerate, match="overflows"):
             mu_diag(np.array(M))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_README = 0.5 * np.array([[1.0, 1j], [1j, 1.0]])
+
+# mu_diag's contract, one input a row: the TetraError subclass it raises, or
+# the value it returns.  The str, the ragged rows, the three dicts, the
+# object entry and the integer past the float range escaped as ValueError,
+# TypeError or OverflowError while the matrix went through NumPy; str, bytes
+# and dict rows unpack like a 2x2 matrix but are none.  Bools and numeric
+# strings were accepted and still are.
+MU_CONTRACT = [
+    ("str", "[[0.5, 0], [0, 0.5]]", BadShape),
+    ("str rows", ["12", "34"], BadShape),
+    ("bytes rows", [b"12", b"34"], BadShape),
+    ("ragged", [[0.5, 0.0], [0.5]], BadShape),
+    ("dict", {"a": 1.0, "b": 2.0}, BadShape),
+    ("dict keyed by rows", {(1, 2): 0, (3, 4): 0}, BadShape),
+    ("dict row", [{0: 1, 1: 2}, [0, 0]], BadShape),
+    ("object entry", [[object(), 0.0], [0.0, 0.5]], BadShape),
+    ("int past the float range", [[10 ** 400, 0], [0, 0]], BadShape),
+    ("3-D", np.zeros((2, 2, 2)), BadShape),
+    ("1x4", [[0.5, 0.0, 0.0, 0.5]], BadShape),
+    ("empty", [], BadShape),
+    ("None", None, BadShape),
+    ("scalar", 0.5, BadShape),
+    ("NaN", [[_NAN, 0.0], [0.0, 0.5]], BadShape),
+    ("inf", [[0.5, _INF], [0.0, 0.5]], BadShape),
+    ("1e300 diagonal", [[1e300, 0.0], [0.0, 1e300]], NumericalDegenerate),
+    ("1e300 corners", [[0.5, 1e300], [1e300, 0.5]], NumericalDegenerate),
+    ("complex(1e308, 1e308)", [[complex(1e308, 1e308), 0.0], [0.0, 0.5]], NumericalDegenerate),
+    ("bools", [[True, False], [False, True]], "0.9999999995343387"),
+    ("numeric strings", [["0.5", "0.5j"], ["0.5j", "0.5"]], "0.7071067809481405"),
+    ("tuples", ((0.5, 0.5j), (0.5j, 0.5)), "0.7071067809481405"),
+    ("array rows", [_README[0], _README[1]], "0.7071067809481405"),
+    ("integer array", np.eye(2, dtype=int), "0.9999999995343387"),
+    ("nested lists", _README.tolist(), "0.7071067809481405"),
+]
+
+
+@pytest.mark.parametrize("A, want", [c[1:] for c in MU_CONTRACT], ids=[c[0] for c in MU_CONTRACT])
+def test_mu_diag_contract(A, want):
+    if isinstance(want, str):
+        assert repr(mu_diag(A)) == want
+    else:
+        with pytest.raises(want):
+            mu_diag(A)
+        assert issubclass(want, TetraError)
 
 
 def test_mu_scaling_oracle_bounds_its_entries():

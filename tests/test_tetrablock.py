@@ -33,6 +33,7 @@ from tetra.tetrablock import (
     _validated,
     GeodesicDisc,
     _circle_max,
+    _series,
     beta_params,
     construct_matrix_rep,
     criterion_max,
@@ -468,7 +469,7 @@ def test_circle_maximum_bounds_the_4096_angle_scan_on_every_radius():
         for r in _RADII:
             z = r * angles
             sampled = float(np.abs((x3 * z - x1) / (x2 * z - 1.0)).max())
-            top, w = _circle_max(x1, x2, x3, r)
+            top, w = _circle_max(x1, x2, x3, abs(x2), abs(x1 * x2 - x3), r)
             assert sampled <= top * (1.0 + 4.0 * eps), (x, r)
             assert abs(w) == pytest.approx(top, rel=4.0 * eps)
             assert abs((x1 - w) / (x3 - x2 * w)) == pytest.approx(r, rel=1e-12), (x, r)
@@ -514,7 +515,7 @@ def test_series_matches_the_one_step_loop_at_every_degree_residue():
     # f must give the one-step loop's bits at x and at closure points, at
     # certified degrees 1-8 and at degrees 0-9 of one certificate (no
     # certificate has degree 0: its witness has |z| >= 0.5 > epsilon), which
-    # f's keyword default _n sets
+    # the evaluator factory _series builds from the certificate's z and scale
     rng = np.random.default_rng(29)
     closure = [pi_map(random_unitary(rng)) for _ in range(2)]
     closure += [random_point_in_ebar(rng) for _ in range(4)]
@@ -532,9 +533,24 @@ def test_series_matches_the_one_step_loop_at_every_degree_residue():
             assert repr(f(y)) == repr(one_step_series(y, cert)), (x, y, cert)
     x, f, cert = by_degree[5]
     for n in range(10):
+        g = _series(cert["z"], n, 1.0 / (1.0 + cert["epsilon"]))
         for y in (x, *closure):
             want = one_step_series(y, {**cert, "degree": n})
-            assert repr(f(y, _n=n)) == repr(want), (n, y)
+            assert repr(g(y)) == repr(want), (n, y)
+    assert all(repr(_series(cert["z"], 5, 1.0 / (1.0 + cert["epsilon"]))(y)) == repr(f(y))
+               for y in (x, *closure))
+
+
+@pytest.mark.parametrize("x", [(0.5, 0.5, -0.9), (1.5, 0.2, 0.1)], ids=["series", "coordinate"])
+def test_a_certificate_takes_its_point_alone(x):
+    # a second argument used to replace a parameter of the certificate (for
+    # (0.5, 0.5, -0.9), f(x, 0.3) gave 0.8488, below 1, where f(x) is 1.1829)
+    f, cert = separating_polynomial(x)
+    assert abs(f(x)) > 1.0, cert
+    with pytest.raises(TypeError):
+        f(x, 0.3)
+    with pytest.raises(TypeError):
+        f(x, _n=3)
 
 
 def test_series_matches_the_one_step_loop_on_the_benchmark_near_stream():

@@ -54,6 +54,7 @@ from .linalg import (
     _abs2,
     _cdiv,
     _cmul,
+    _entries,
     _herm2_spectrum,
     _isqrt_times,
     _require_contraction,
@@ -362,15 +363,20 @@ class Interpolant:
 
     def lift_evaluate(self, lam):
         """F(lam) for a point of the closed disc, or the (n, 2, 2) stack of
-        F at each point of a 1-D array."""
-        lams = np.asarray(lam, dtype=complex)
-        if lams.ndim > 1:
-            raise BadLambda(f"expected a point or a 1-D array, got shape {lams.shape}")
-        radius = np.abs(lams)
-        if not (radius <= 1.0 + 1e-12).all():  # written so that a NaN fails
-            raise OutsideDisc(f"|lambda| = {radius.max():.6f} is not at most 1")
-        # a lone point stays a scalar, and its lift a lone 2x2 matrix
-        F = self._lift(lams if lams.ndim else lams[()])
+        F at each point of a 1-D array.  A Python or NumPy number is lifted
+        in complex scalars, bit for bit as its row of the stack (but for the
+        svd_reduced variant, whose factors come from LAPACK)."""
+        if isinstance(lam, (int, float, complex, np.number)):
+            lams = complex(lam)
+            radius = abs(lams)
+        else:
+            lams = np.asarray(lam, dtype=complex)
+            if lams.ndim > 1:
+                raise BadLambda(f"expected a point or a 1-D array, got shape {lams.shape}")
+            radius = np.abs(lams).max(initial=0.0)
+        if not radius <= 1.0 + 1e-12:  # written so that a NaN fails
+            raise OutsideDisc(f"|lambda| = {radius:.6f} is not at most 1")
+        F = self._lift(lams)
         if self.flipped:
             F = np.ascontiguousarray(F[..., ::-1, ::-1].swapaxes(-1, -2))
         return F
@@ -461,18 +467,21 @@ def _payload_complex(v, key: str) -> complex:
     raise BadPayload(f"payload entry {key!r} is not a finite [re, im] pair: {v!r}")
 
 
-def _per_point(v):
-    """A scalar, or an array of one value per point, shaped to scale the
-    2x2 matrix of each point."""
-    return np.asarray(v)[..., None, None]
+def _diag_scaled(f11, f12, f21, f22, lam):
+    """[[f11, f12], [f21, f22]] diag(lam, 1) at a point, or its (n, 2, 2) stack
+    at a 1-D array, each entry a scalar or an array of one value per point.
+    NumPy's product scales the first column: it rounds a point as it rounds
+    the point's row of the stack, and Python's product does not."""
+    F = np.empty(getattr(lam, "shape", ()) + (2, 2), dtype=complex)
+    F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1] = f11, f12, f21, f22
+    F[..., 0] *= lam[..., None] if F.ndim > 2 else lam
+    return F
 
 
 def _times_diag(G, lam):
-    """G @ diag(lam, 1) for a 2x2 matrix or a stack G (one matrix G serves
+    """G diag(lam, 1) for a 2x2 matrix or a stack G (one matrix G serves
     every point): its first column scaled by the point."""
-    F = np.array(np.broadcast_to(G, np.shape(lam) + (2, 2)))
-    F[..., 0] *= np.asarray(lam)[..., None]
-    return F
+    return _diag_scaled(*_entries(G), lam)
 
 
 def _mobius(l0: complex, x: CPoint3, sigma: float):
@@ -513,14 +522,16 @@ def _mobius(l0: complex, x: CPoint3, sigma: float):
 
 def _pencil(l0, d0, d1, C0, C1, lam):
     """(C0 + s C1) diag(lam, 1), s = (l0 - lam)/(d0 - d1 lam): the lift of
-    _mobius, whose C0 is the interpolant's own Z."""
+    _mobius, whose C0 is the interpolant's own Z; s and each z + s c round at
+    a point as at each point of an array (:func:`_cdiv`, :func:`_cmul`)."""
     s = _cdiv(l0 - lam, d0 - _cmul(d1, lam))
-    return _times_diag(C0 + _cmul(_per_point(s), C1), lam)
+    C = zip(C0.ravel().tolist(), C1.ravel().tolist())
+    return _diag_scaled(*[z + _cmul(s, c) for z, c in C], lam)
 
 
 def _times_point(G, lam):
     """G scaled by the point, or the stack of G scaled by each point."""
-    return _per_point(lam) * G
+    return np.asarray(lam)[..., None, None] * G
 
 
 def _svd_lift(U, Vh, c, scalar, lam):

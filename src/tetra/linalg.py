@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import BadShape, NormTooLarge
-from .tetrablock import _halves, _sv2
+from .tetrablock import _halves, _read_cmat2, _sv2
 
 CMat2 = np.ndarray
 CVec2 = np.ndarray
@@ -36,7 +36,16 @@ def as_cmat2(A, stack: bool = False) -> CMat2:
     """Coerce to a finite 2x2 complex array, validating shape and finiteness.
 
     With ``stack`` an (n, 2, 2) stack of such matrices is accepted as well.
+    Anything but an ndarray is read by mu_diag's reader, ``_read_cmat2``, as
+    one matrix or (with ``stack``) a list or tuple of them: BadShape if not.
     """
+    if not isinstance(A, np.ndarray):
+        try:
+            return mat2(*_read_cmat2(A))
+        except BadShape:
+            if not (stack and isinstance(A, (list, tuple))):
+                raise
+        A = np.array([as_cmat2(m) for m in A])
     M = np.asarray(A, dtype=complex)
     if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-2:] != (2, 2):
         raise BadShape(f"expected a 2x2 matrix, got shape {M.shape}")

@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .errors import (
     BadBeta,
     BadSamples,
+    BadShape,
     BadTolerance,
     InsideClosure,
     NotPeak,
@@ -205,6 +206,22 @@ def _sv2(a: complex, b: complex, c: complex, d: complex) -> float:
     r = abs(det)
     p, q = _halves(a, b, c, d, det / r if r else 1.0)
     return p + q
+
+
+def _read_cmat2(A) -> tuple[complex, complex, complex, complex]:
+    """(a11, a12, a21, a22) of a 2x2 matrix (an array or nested rows) as four
+    complex numbers: BadShape for another shape or type, or a non-finite entry."""
+    try:  # a str, bytes or dict unpacks like a 2x2 matrix or a row, but is none
+        r1, r2 = rows = A.tolist() if hasattr(A, "tolist") else A
+        if any(isinstance(r, (str, bytes, dict)) for r in (rows, r1, r2)):
+            raise TypeError
+        (a11, a12), (a21, a22) = r1, r2
+        e = complex(a11), complex(a12), complex(a21), complex(a22)
+    except (TypeError, ValueError, OverflowError):
+        raise BadShape(f"expected a 2x2 matrix, got {type(A).__name__}") from None
+    if not all(map(cmath.isfinite, e)):
+        raise BadShape("matrix entries must be finite")
+    return e
 
 
 def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):

@@ -14,9 +14,10 @@ sense, ``tetra.__all__`` lists it or ``tests/test_acceptance.py`` imports it.
 The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
 ``LAPACK_SITES`` only, which keeps eigensolvers off the solve path, and
 ``cli.run`` alone writes a document's ``command`` and ``provenance``.  The
-domain layer (``DOMAIN``) imports no NumPy-backed module at module level, so
-the commands that use only it never load NumPy; nor does ``musyn``, whose
-``mu_diag`` is plain complex arithmetic.
+synthesis lifts and the lift helpers they evaluate (``NO_MATMUL``) contain no
+``@``.  The domain layer (``DOMAIN``) imports no NumPy-backed module at module
+level, so the commands that use only it never load NumPy; nor does ``musyn``,
+whose ``mu_diag`` is plain complex arithmetic.
 """
 import ast
 import pathlib
@@ -229,6 +230,47 @@ def test_the_check_sees_a_linalg_site():
         ("a.py", "<module>", "import"), ("a.py", "root", "eigh"),
         ("a.py", "root", "linalg"), ("a.py", "solve", "import"),
     }
+
+
+# the synthesis lifts and the interpolant lifts they evaluate take their 2x2
+# products entry-wise: a complex matmul there (OpenBLAS zgemm) left the pure-
+# Python code after it about 15% slower on a Xeon host; _bft_norm, the
+# oracles and svd_reduced's factors are not on this path
+NO_MATMUL = {
+    "musyn.py": ("synth_two_point", "_scaled_lift", "_conjugated_lift",
+                 "_triangular_corner_lift"),
+    "interpolate.py": ("_pencil", "_diag_scaled", "_times_diag", "_times_point"),
+}
+
+
+def matmul_sites(source: str) -> dict[str, bool]:
+    """Each top-level function of a module, and whether an @ or @= appears
+    in it, nested functions included."""
+    return {
+        top.name: any(isinstance(n, ast.MatMult) for n in ast.walk(top))
+        for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)
+    }
+
+
+@pytest.mark.parametrize("name", NO_MATMUL)
+def test_the_lifts_take_no_matmul(name):
+    sites = matmul_sites(next(p for p in SRC if p.name == name).read_text())
+    assert {f: sites[f] for f in NO_MATMUL[name]} == dict.fromkeys(NO_MATMUL[name], False)
+
+
+def test_the_check_sees_a_matmul():
+    source = (
+        "def lift(D, G):\n"
+        "    def F(lam):\n"
+        "        return D @ G(lam)\n"
+        "    return F\n"
+        "def scale(G):\n"
+        "    G @= G\n"
+        "    return G\n"
+        "def plain(G):\n"
+        "    return G * 2\n"
+    )
+    assert matmul_sites(source) == {"lift": True, "scale": True, "plain": False}
 
 
 ENVELOPE = ("command", "provenance")

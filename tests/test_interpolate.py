@@ -708,16 +708,32 @@ def every_variant(rng):
 
 
 def test_lift_stack_matches_pointwise_lift(rng):
+    # a point is lifted in complex scalars and the stack in arrays, with the
+    # same roundings: each row is the point's lift bit for bit, except for
+    # svd_reduced, whose lift goes through LAPACK's factors and a matmul
     lams = disc_points(rng, 40)
+    kinds = (  # (stack, the point types each of its entries is passed as)
+        (lams, (complex, np.complex128, np.asarray)),
+        (lams.real, (float, np.float64)),
+        (np.array([-1, 0, 1]), (int, np.int64)),
+    )
     for _ in range(3):
         for phi in every_variant(rng):
-            F = phi.lift_evaluate(lams)
+            if phi.variant == "svd_reduced":
+                def same(a, b):
+                    return np.max(np.abs(a - b)) <= 1e-15
+            else:
+                same = np.array_equal
+            for stack, types in kinds:
+                F = phi.lift_evaluate(stack)
+                assert F.shape == (stack.size, 2, 2)
+                for k, lam in enumerate(stack):
+                    for kind in types:
+                        Fk = phi.lift_evaluate(kind(lam))
+                        assert Fk.shape == (2, 2)
+                        assert same(F[k], Fk), (phi.variant, kind, lam)
             x = phi.evaluate(lams)
-            assert F.shape == (lams.size, 2, 2)
             for k, lam in enumerate(lams):
-                Fk = phi.lift_evaluate(lam)
-                assert Fk.shape == (2, 2)
-                assert np.max(np.abs(F[k] - Fk)) <= 1e-15
                 xk = phi.evaluate(lam)
                 assert all(type(c) is complex for c in xk)
                 assert max(abs(c[k] - d) for c, d in zip(x, xk)) <= 1e-15
@@ -744,6 +760,13 @@ def test_lift_rejects_a_point_outside_the_disc():
         phi.evaluate(lams)
     with pytest.raises(BadLambda):
         phi.lift_evaluate(np.zeros((2, 2)))
+    # a lone point is checked in complex scalars, with the stack's message
+    for lam in (1.0 + 1e-9, complex("nan"), np.inf, 2, np.complex64(1.5j)):
+        with pytest.raises(OutsideDisc) as point:
+            phi.lift_evaluate(lam)
+        with pytest.raises(OutsideDisc) as stack:
+            phi.lift_evaluate(np.array([lam]))
+        assert str(point.value) == str(stack.value)
 
 
 def audit_oracle(phi, samples=500, seed=0, tol=1e-9):

@@ -184,6 +184,10 @@ def test_contraction_checks_reject_an_overflowing_norm():
     # a misleading BadShape
     with pytest.raises(NormTooLarge):
         big_m(np.full((2, 2), 1e200), 0.5)
+    # a det with finite parts, 1.44e308 (1 + i), and no finite modulus: the
+    # plain-complex _sv2 raises OverflowError, and op_norm gives the verdict
+    with pytest.raises(NormTooLarge):
+        big_m(mat2(1.2e154 * (1 + 1j), 0, 0, 1.2e154), 0.5)
 
 
 def test_contraction_check_gives_op_norms_verdict(rng):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import subprocess
 import sys
 import warnings
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from tetra.errors import BadShape, NumericalDegenerate, Outside, TetraError, TooManyPoints
+from tetra.interpolate import solve_schwarz
 from tetra.linalg import as_cmat2, mat2, op_norm, pi_map
 from tetra.musyn import (
     MU_RTOL,
     SynthesisInstance,
+    _conjugated_lift,
     bft_lower_bound,
     lift_to_sigma,
     mu_diag,
@@ -20,7 +23,7 @@ from tetra.musyn import (
 )
 from tetra.tetrablock import membership
 
-from conftest import random_contraction, random_unitary
+from conftest import random_contraction, random_feasible_instance, random_unitary
 
 
 def closed_form_scaled_norm(A):
@@ -103,6 +106,7 @@ MU_CONTRACT = [
     ("1e300 diagonal", [[1e300, 0.0], [0.0, 1e300]], NumericalDegenerate),
     ("1e300 corners", [[0.5, 1e300], [1e300, 0.5]], NumericalDegenerate),
     ("complex(1e308, 1e308)", [[complex(1e308, 1e308), 0.0], [0.0, 0.5]], NumericalDegenerate),
+    ("no finite modulus", [[complex(1.5e308, 1.5e308), 0.0], [0.0, 0.5]], NumericalDegenerate),
     ("bools", [[True, False], [False, True]], "0.9999999995343387"),
     ("numeric strings", [["0.5", "0.5j"], ["0.5j", "0.5"]], "0.7071067809481405"),
     ("tuples", ((0.5, 0.5j), (0.5j, 0.5)), "0.7071067809481405"),
@@ -120,6 +124,70 @@ def test_mu_diag_contract(A, want):
         with pytest.raises(want):
             mu_diag(A)
         assert issubclass(want, TetraError)
+
+
+# The readers of linalg.as_cmat2, against the same inputs, one a row: each
+# input either raises BadShape in every reader, or stands for an ndarray, and
+# then gives in every reader what that ndarray gives (its value, or the
+# TetraError it raises).  NumPy still converts ndarrays, so the second kind
+# keeps today's values.  The str, the ragged rows, the dicts, the object
+# entry and the integer past the float range escaped as ValueError, TypeError
+# or OverflowError while NumPy converted every input.
+MATRIX_CONTRACT = [
+    ("str", "[[0.5, 0], [0, 0.5]]", BadShape),
+    ("str rows", ["12", "34"], BadShape),
+    ("bytes rows", [b"12", b"34"], BadShape),
+    ("ragged", [[0.5, 0.0], [0.5]], BadShape),
+    ("dict", {"a": 1.0, "b": 2.0}, BadShape),
+    ("dict keyed by rows", {(1, 2): 0, (3, 4): 0}, BadShape),
+    ("dict row", [{0: 1, 1: 2}, [0, 0]], BadShape),
+    ("object entry", [[object(), 0.0], [0.0, 0.5]], BadShape),
+    ("int past the float range", [[10 ** 400, 0], [0, 0]], BadShape),
+    ("stack with an object entry", [_README.tolist(), [[object(), 0], [0, 0]]], BadShape),
+    ("1x4", [[0.5, 0.0, 0.0, 0.5]], BadShape),
+    ("empty", [], BadShape),
+    ("None", None, BadShape),
+    ("scalar", 0.5, BadShape),
+    ("NaN", [[_NAN, 0.0], [0.0, 0.5]], BadShape),
+    ("inf", [[0.5, _INF], [0.0, 0.5]], BadShape),
+    ("list stack", [_README.tolist(), [[0.1, 0], [0, 0.2]]], np.array([_README, np.diag([0.1, 0.2])])),
+    ("1e300 diagonal", [[1e300, 0.0], [0.0, 1e300]], np.diag([1e300, 1e300])),
+    ("complex(1e308, 1e308)", [[complex(1e308, 1e308), 0.0], [0.0, 0.5]],
+     np.diag([complex(1e308, 1e308), 0.5])),
+    ("bools", [[True, False], [False, True]], np.eye(2)),
+    ("numeric strings", [["0.5", "0.5j"], ["0.5j", "0.5"]], _README),
+    ("tuples", ((0.5, 0.5j), (0.5j, 0.5)), _README),
+    ("array rows", [_README[0], _README[1]], _README),
+    ("corner", [[0, 0.3], [0, 0]], np.array([[0, 0.3], [0, 0]])),
+    ("nested lists", _README.tolist(), _README),
+]
+MATRIX_READERS = {
+    "as_cmat2": as_cmat2,
+    "op_norm": op_norm,
+    "pi_map": pi_map,
+    "mu_scaling_oracle": mu_scaling_oracle,
+    "SynthesisInstance A1": lambda A: vars(SynthesisInstance(0.5, A, _README)),
+    "SynthesisInstance A2": lambda A: vars(SynthesisInstance(0.5, [[0, 0.3], [0, 0]], A)),
+}
+
+
+def read_outcome(reader, A):
+    """The bytes of what reader(A) returns, or the TetraError it raises."""
+    try:
+        return pickle.dumps(reader(A))
+    except TetraError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("reader", MATRIX_READERS)
+@pytest.mark.parametrize("A, want", [c[1:] for c in MATRIX_CONTRACT],
+                         ids=[c[0] for c in MATRIX_CONTRACT])
+def test_matrix_reader_contract(reader, A, want):
+    if isinstance(want, np.ndarray):
+        assert read_outcome(MATRIX_READERS[reader], A) == read_outcome(MATRIX_READERS[reader], want)
+    else:
+        with pytest.raises(want):
+            MATRIX_READERS[reader](A)
 
 
 def test_mu_scaling_oracle_bounds_its_entries():
@@ -355,6 +423,50 @@ def test_synth_complex_lambda0(rng):
     ok, F = synth_two_point(SynthesisInstance(l0, UPPER, A2_FULL))
     assert ok
     check_lift(F, l0, A2_FULL, "upper")
+
+
+# the 20 points of the CLI's synth mu audit, then 0
+AUDIT_POINTS = [(k + 1) / 21 * np.exp(2j * math.pi * 0.6180339887498949 * k)
+                for k in range(20)] + [0.0]
+
+
+def conjugation_errors(rng, n):
+    """For n seeded interpolants phi (solve_schwarz of random_feasible_instance)
+    and scalings delta of modulus 1e-3 .. 1e3: assert that each conjugated
+    lift is [[g11, delta g12], [g21 / delta, g22]] of G = phi.lift_evaluate,
+    bit for bit (transposed for the lower shape), and that no part of an
+    entry is -0.0; yield each entry's error relative to D G D^-1 at 50
+    digits."""
+    import mpmath
+    for _ in range(n):
+        phi = solve_schwarz(*random_feasible_instance(rng))
+        delta = complex(10.0 ** rng.uniform(-3.0, 3.0) * np.exp(2j * np.pi * rng.uniform()))
+        for transpose in (False, True):
+            F = _conjugated_lift(phi, delta, transpose)
+            for lam in AUDIT_POINTS + [phi.lambda0]:
+                (g11, g12), (g21, g22) = phi.lift_evaluate(lam).tolist()
+                want = np.array([[g11, delta * g12], [g21 / delta, g22]])
+                got = F(lam)
+                assert np.array_equal(got, want.T if transpose else want)
+                parts = np.array([got.real, got.imag])
+                assert not np.signbit(parts[parts == 0.0]).any()
+                d = mpmath.mpc(delta)
+                exact = [mpmath.mpc(g11), d * mpmath.mpc(g12), mpmath.mpc(g21) / d, mpmath.mpc(g22)]
+                if transpose:
+                    exact[1], exact[2] = exact[2], exact[1]
+                for g, e in zip(got.ravel().tolist(), exact):
+                    yield float(abs(mpmath.mpc(g) - e) / abs(e)) if e else abs(g)
+
+
+def test_conjugated_lift_is_entrywise_and_within_its_bound_of_50_digits(rng):
+    # The bound is the worst entry error on this pool, 1.23 eps relative
+    # (six seeds: up to 1.28 eps); D @ G @ D^-1 by complex matmul was up to
+    # 1.75 eps off on a like pool.  A lift past its bound is a finding, not a
+    # reason for a looser bound.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        worst = max(conjugation_errors(rng, 60)) / np.finfo(float).eps
+    assert worst <= 1.23, worst
 
 
 def test_synth_rejects_exterior_target():

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     BadLambda,
@@ -39,24 +38,27 @@ def pseudohyperbolic(lam1, lam2) -> float:
     return abs(l1 - l2) / abs(1.0 - l1.conjugate() * l2)
 
 
-@dataclass(frozen=True)
-class DiscAut:
+class DiscAut(namedtuple("DiscAut", "omega alpha")):
     """Automorphism of the unit disc z -> omega (z - alpha)/(conj(alpha) z - 1),
-    |omega| = 1, |alpha| < 1, in the normal form fixed by that display."""
+    |omega| = 1, |alpha| < 1, in the normal form fixed by that display; a named
+    tuple whose ``_make`` and ``_replace`` check as the constructor does."""
 
-    omega: complex
-    alpha: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        om, al = complex(self.omega), complex(self.alpha)
+    def __new__(cls, omega, alpha):
+        om, al = complex(omega), complex(alpha)
         # written so that a NaN fails each check
         if not abs(abs(om) - 1.0) <= _UNIMODULAR_TOL:
             raise NotUnimodular(f"|omega| = {abs(om):.15f} is not 1")
         if not abs(al) < 1.0:
             raise OutsideDisc(f"|alpha| = {abs(al):.6f} is not below 1")
         # pin the modulus exactly so repeated compositions cannot drift
-        object.__setattr__(self, "omega", om / abs(om))
-        object.__setattr__(self, "alpha", al)
+        return tuple.__new__(cls, (om / abs(om), al))
+
+    _make = classmethod(lambda cls, it: cls(*it))
+
+    def __reduce__(self):  # no second normalisation, which can move omega's last bit
+        return tuple.__new__, (type(self), tuple(self))
 
     def __call__(self, z) -> complex:
         """The image of z.  A non-finite z raises NonFinite, as psi does,
@@ -189,9 +191,7 @@ def _sp_quotient(x, y) -> float:
     return lhs
 
 
-class SchwarzPickResult(NamedTuple):
-    feasible: bool
-    lhs: float
+SchwarzPickResult = namedtuple("SchwarzPickResult", "feasible lhs")
 
 
 def schwarz_pick_triangular(lam1, lam2, x, y) -> SchwarzPickResult:

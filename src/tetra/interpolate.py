@@ -366,14 +366,18 @@ class Interpolant:
         F at each point of a 1-D array.  A Python or NumPy number is lifted
         in complex scalars, bit for bit as its row of the stack (but for the
         svd_reduced variant, whose factors come from LAPACK)."""
-        if isinstance(lam, (int, float, complex, np.number)):
-            lams = complex(lam)
-            radius = abs(lams)
-        else:
-            lams = np.asarray(lam, dtype=complex)
-            if lams.ndim > 1:
-                raise BadLambda(f"expected a point or a 1-D array, got shape {lams.shape}")
-            radius = np.abs(lams).max(initial=0.0)
+        try:
+            if isinstance(lam, (int, float, complex, np.number)):
+                lams = complex(lam)
+                radius = abs(lams)
+            else:
+                lams = np.asarray(lam, dtype=complex)
+                if lams.ndim > 1:
+                    raise BadLambda(
+                        f"expected a point or a 1-D array, got shape {lams.shape}")
+                radius = np.abs(lams).max(initial=0.0)
+        except OverflowError:  # an int past the float range
+            radius = math.inf
         if not radius <= 1.0 + 1e-12:  # written so that a NaN fails
             raise OutsideDisc(f"|lambda| = {radius:.6f} is not at most 1")
         F = self._lift(lams)

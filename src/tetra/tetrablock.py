@@ -25,9 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
-from typing import NamedTuple
 
 from .errors import (
     BadBeta,
@@ -155,7 +154,8 @@ def criterion_max(x) -> float:
     return max(d, dflip)
 
 
-class MembershipReport(NamedTuple):
+class MembershipReport(namedtuple("MembershipReport", "in_set c1 c2 c3 c4 c5 c6 c7 c8 c9 "
+                                  "m3 m3p m4 m4p m5 m6 triangular d_value closed")):
     """Per-criterion verdicts and signed margins for one point.
 
     ``in_set`` is the canonical criterion-(3) verdict.  The margins are the
@@ -166,25 +166,7 @@ class MembershipReport(NamedTuple):
     tuple of its fields in this order.
     """
 
-    in_set: bool
-    c1: bool
-    c2: bool
-    c3: bool
-    c4: bool
-    c5: bool
-    c6: bool
-    c7: bool
-    c8: bool
-    c9: bool
-    m3: float
-    m3p: float
-    m4: float
-    m4p: float
-    m5: float
-    m6: float
-    triangular: bool
-    d_value: float
-    closed: bool
+    __slots__ = ()
 
     def verdicts(self) -> tuple[bool, ...]:
         """``(c1, ..., c9)``."""
@@ -400,13 +382,9 @@ def beta_params(x) -> tuple[complex, complex]:
     return (b1, b2)
 
 
-@dataclass(frozen=True)
-class GeodesicDisc:
-    """The analytic disc lam -> (beta1 + conj(beta2) lam, beta2 +
-    conj(beta1) lam, lam) through the point it parametrises."""
-
-    beta1: complex
-    beta2: complex
+GeodesicDisc = namedtuple("GeodesicDisc", "beta1 beta2")
+GeodesicDisc.__doc__ = """The analytic disc lam -> (beta1 + conj(beta2) lam, beta2 +
+conj(beta1) lam, lam) through the point it parametrises."""
 
 
 def geodesic_eval(disc: GeodesicDisc, lam) -> CPoint3:

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import jsonschema
 import numpy as np
@@ -10,6 +12,7 @@ import tetra.metrics
 import tetra.tetrablock
 from tetra.autgroup import (
     DiscAut,
+    SchwarzPickResult,
     _sp_quotient,
     act_left,
     act_right,
@@ -34,7 +37,14 @@ from tetra.cli import run
 from tetra.linalg import op_norm
 from tetra.metrics import dist_from_origin, dist_triangular_pair, pseudohyperbolic
 from tetra.musyn import synth_two_point_general
-from tetra.tetrablock import as_cpoint3, criterion_max, is_triangular, membership
+from tetra.tetrablock import (
+    GeodesicDisc,
+    MembershipReport,
+    as_cpoint3,
+    criterion_max,
+    is_triangular,
+    membership,
+)
 
 from conftest import random_contraction, random_disc, random_point_in_e
 from test_cli import SCHEMAS
@@ -91,6 +101,75 @@ def test_discaut_pole_guard():
     v = DiscAut(1.0, 0.5)
     with pytest.raises(Pole):
         v(2.0)  # 1/conj(alpha) = 2 is the pole
+
+
+# --- the records -----------------------------------------------------------
+
+REPORT_FIELDS = (
+    "in_set", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9",
+    "m3", "m3p", "m4", "m4p", "m5", "m6", "triangular", "d_value", "closed",
+)
+RECORDS = [  # (record, its fields in order, the repr text)
+    (membership((0.5, 0.25, 0.5)), REPORT_FIELDS,
+     "MembershipReport(in_set=True, c1=True, c2=True, c3=True, c4=True, c5=True, c6=True, "
+     "c7=True, c8=True, c9=True, m3=0.1875, m3p=0.375, m4=0.5625, m4p=0.1875, m5=0.1875, "
+     "m6=0.375, triangular=False, d_value=0.8, closed=False)"),
+    (GeodesicDisc(0.25, 0.5j), ("beta1", "beta2"), "GeodesicDisc(beta1=0.25, beta2=0.5j)"),
+    (DiscAut(1j, 0.3 + 0.1j), ("omega", "alpha"), "DiscAut(omega=1j, alpha=(0.3+0.1j))"),
+    (schwarz_pick_triangular(0.0, 0.5, (0.5, 0.0, 0.0), (0.1, 0.1, 0.2)), ("feasible", "lhs"),
+     "SchwarzPickResult(feasible=False, lhs=0.5789473684210527)"),
+]
+
+
+@pytest.mark.parametrize("rec, fields, text", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_the_records_keep_the_dataclass_behaviour(rec, fields, text):
+    # fields in order, keyword construction, attribute access, no
+    # assignment (FrozenInstanceError was an AttributeError too), the
+    # field tuple's hash and the repr text are as before the named tuples
+    assert type(rec)._fields == fields
+    values = tuple(getattr(rec, f) for f in fields)
+    assert type(rec)(**dict(zip(fields, values))) == rec
+    for name in (fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+    assert hash(rec) == hash(values)
+    assert repr(rec) == text
+    # new with the named tuples: a record unpacks and compares as its fields
+    assert tuple(rec) == values and rec == values
+
+
+@pytest.mark.parametrize("omega, alpha, error, message", [
+    (2.0, 0.0, NotUnimodular, "|omega| = 2.000000000000000 is not 1"),
+    (complex("nan"), 0.0, NotUnimodular, "|omega| = nan is not 1"),
+    (1.0, 1.0, OutsideDisc, "|alpha| = 1.000000 is not below 1"),
+    (1.0, complex("nan"), OutsideDisc, "|alpha| = nan is not below 1"),
+])
+def test_discaut_checks_every_way_in(omega, alpha, error, message):
+    v = DiscAut(1j, 0.5)
+    for make in (lambda: DiscAut(omega, alpha), lambda: DiscAut(omega=omega, alpha=alpha),
+                 lambda: DiscAut._make((omega, alpha)),
+                 lambda: v._replace(omega=omega, alpha=alpha)):
+        with pytest.raises(error) as caught:
+            make()
+        assert str(caught.value) == message
+    # and each way in pins |omega| = 1 the same way
+    om = 0.6 + 0.8000000000001j
+    assert DiscAut._make((om, 0.5)) == v._replace(omega=om) == DiscAut(om, 0.5)
+
+
+def test_discaut_copies_and_pickles_exactly():
+    # re-normalising a unimodular omega can move its last bit; a copy or a
+    # pickle restores the stored bits and does not normalise again
+    rng = np.random.default_rng(0)
+    drawn = (DiscAut(np.exp(2j * np.pi * rng.uniform()) * (1.0 + 1e-13 * rng.uniform(-1, 1)),
+                     random_disc(rng, 0.9)) for _ in range(1000))
+    v = next(v for v in drawn if DiscAut(*v).omega != v.omega)
+    copies = [copy.copy(v), copy.deepcopy(v)] + [
+        pickle.loads(pickle.dumps(v, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for w in copies:
+        assert type(w) is DiscAut
+        assert (w.omega, w.alpha) == (v.omega, v.alpha)
 
 
 # --- diamond semigroup ---------------------------------------------------

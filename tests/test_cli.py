@@ -777,6 +777,40 @@ print(json.dumps([codes, before, "numpy" in sys.modules, docs]))
     assert repr(docs[3]["oracle"]) == "0.7071067811865476"
 
 
+_RECORD_LIBS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_numpy_free_commands_leave_dataclasses_and_typing_unloaded():
+    # a fresh process: the NumPy-free layer's records are named tuples, so
+    # no command that needs no matrix, nor mu, loads dataclasses and what it
+    # pulls in, nor typing unless the interpreter's start-up already does
+    # (a site-packages .pth file can)
+    probe = f"""
+import contextlib, io, json, sys
+from tetra.cli import run
+codes = []
+for argv in {_NUMPY_FREE_ARGV + [_MU_ARGV]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(run(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, [m for m in {_RECORD_LIBS!r} if m in sys.modules],
+                  "typing" in sys.modules]))
+"""
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print('typing' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    codes, loaded, typing_loaded = json.loads(out.stdout)
+    assert codes == [0] * (len(_NUMPY_FREE_ARGV) + 1)
+    assert loaded == []
+    assert typing_loaded == (bare.stdout.strip() == "True")
+
+
 # --- the argv parser -----------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):

@@ -2,15 +2,17 @@
 
 One case per guard that no other test reaches: a pole, a radius or node
 pair outside a solver's range, a stored interpolant whose variant does not
-match its re-solve, and a point whose coordinates have finite moduli while
-a modulus the membership criteria take of them overflows (where only the
-triangular test is asked, that test answers).
+match its re-solve, a contraction so near the unit sphere that its defect
+rounds to a singular matrix, and a point whose coordinates have finite
+moduli while a modulus the membership criteria take of them overflows
+(where only the triangular test is asked, that test answers).
 """
 import functools
 import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from tetra.autgroup import diamond
@@ -26,6 +28,7 @@ from tetra.errors import (
     Pole,
 )
 from tetra.interpolate import Interpolant, big_m, scalar_np2, solve_schwarz
+from tetra.linalg import op_norm
 from tetra.musyn import bft_lower_bound
 from tetra.metrics import dist_from_origin, dist_triangular_pair
 from tetra.tetrablock import (
@@ -59,6 +62,25 @@ CASES = {
 def test_a_guard_raises_its_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_contraction_within_an_ulp_of_the_sphere_leaves_a_singular_defect():
+    """op_norm(Z) < 1, yet 1 - Z*Z or 1 - ZZ* rounds to a matrix with no
+    positive determinant: _defects raises NumericalDegenerate.  Z is a seeded
+    Gaussian matrix scaled to norm 1 - k 2^-53; about 1 draw in 90 fires."""
+    rng = np.random.default_rng(0)
+    fired = 0
+    for _ in range(40):
+        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for k in (1, 2, 3):
+            Z = G / op_norm(G) * (1 - k * 2**-53)
+            if op_norm(Z) < 1.0:
+                try:
+                    big_m(Z, 0.5)
+                except NumericalDegenerate as exc:
+                    assert str(exc) == "1 - Z*Z is singular to working precision"
+                    fired += 1
+    assert fired > 0
 
 
 def test_the_closure_grid_oracle_finds_an_exterior_root():

@@ -17,7 +17,9 @@ The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
 synthesis lifts and the lift helpers they evaluate (``NO_MATMUL``) contain no
 ``@``.  The domain layer (``DOMAIN``) imports no NumPy-backed module at module
 level, so the commands that use only it never load NumPy; nor does ``musyn``,
-whose ``mu_diag`` is plain complex arithmetic.
+whose ``mu_diag`` is plain complex arithmetic.  Those modules, ``cli`` and
+``tetra/__init__`` (``RECORD_FREE``) import neither ``dataclasses`` nor
+``typing`` at any scope: their records are named tuples.
 """
 import ast
 import pathlib
@@ -349,11 +351,11 @@ def _scopes(tree: ast.Module):
             yield "<module>", top
 
 
-def heavy_imports(source: str) -> set[tuple[str, str, str]]:
+def heavy_imports(source: str, heavy=HEAVY) -> set[tuple[str, str, str]]:
     """(top-level function, "Class.method" or "<module>", module, name) of
-    each import of a HEAVY module, or of a name from one; a relative module
-    keeps its dots.  Only a function body defers an import; a class body
-    runs on import."""
+    each import of a ``heavy`` module, or of a name from one; a relative
+    module keeps its dots.  Only a function body defers an import; a class
+    body runs on import."""
     sites = set()
     for where, scope in _scopes(ast.parse(source)):
         for n in ast.walk(scope):
@@ -364,7 +366,7 @@ def heavy_imports(source: str) -> set[tuple[str, str, str]]:
             else:
                 continue
             sites |= {(where, module, name) for module, name in found
-                      if any(module == h or module.startswith(h + ".") for h in HEAVY)}
+                      if any(module == h or module.startswith(h + ".") for h in heavy)}
     return sites
 
 
@@ -392,6 +394,35 @@ def test_the_check_sees_a_heavy_import():
         ("oracle", "numpy.linalg", "numpy.linalg"), ("oracle", ".linalg", "mat2"),
         ("oracle", ".linalg", "op_norm"), ("<module>", ".cli", "run"),
         ("Report.load", ".interpolate", "solve_schwarz"),
+    }
+
+
+# the modules a fresh member, dist, auto or mu loads, and the record
+# machinery they do without at any scope: their records are named tuples,
+# and dataclasses would bring inspect, ast, dis and tokenize with it
+RECORD_FREE = DOMAIN + ("cli.py", "__init__.py")
+RECORD_LIBS = ("dataclasses", "typing")
+
+
+@pytest.mark.parametrize("name", RECORD_FREE)
+def test_the_numpy_free_layer_imports_neither_dataclasses_nor_typing(name):
+    source = next(p for p in SRC if p.name == name).read_text()
+    assert heavy_imports(source, RECORD_LIBS) == set()
+
+
+def test_the_check_sees_a_record_import():
+    source = (
+        "from collections import namedtuple\n"
+        "from dataclasses import dataclass, field\n"
+        "def oracle(x):\n"
+        "    import typing\n"
+        "class Report:\n"
+        "    def load(self):\n"
+        "        from typing import NamedTuple\n"
+    )
+    assert heavy_imports(source, RECORD_LIBS) == {
+        ("<module>", "dataclasses", "dataclass"), ("<module>", "dataclasses", "field"),
+        ("oracle", "typing", "typing"), ("Report.load", "typing", "NamedTuple"),
     }
 
 

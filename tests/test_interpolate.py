@@ -760,10 +760,13 @@ def test_lift_rejects_a_point_outside_the_disc():
         phi.evaluate(lams)
     with pytest.raises(BadLambda):
         phi.lift_evaluate(np.zeros((2, 2)))
-    # a lone point is checked in complex scalars, with the stack's message
-    for lam in (1.0 + 1e-9, complex("nan"), np.inf, 2, np.complex64(1.5j)):
+    # a lone point is checked in complex scalars, with the stack's message;
+    # an int past the float range is outside too (|lambda| = inf)
+    for lam in (1.0 + 1e-9, complex("nan"), np.inf, 2, np.complex64(1.5j), 10**400):
         with pytest.raises(OutsideDisc) as point:
             phi.lift_evaluate(lam)
+        with pytest.raises(OutsideDisc):
+            phi.evaluate(lam)
         with pytest.raises(OutsideDisc) as stack:
             phi.lift_evaluate(np.array([lam]))
         assert str(point.value) == str(stack.value)

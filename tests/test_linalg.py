@@ -206,7 +206,8 @@ def test_contraction_check_gives_op_norms_verdict(rng):
             passed = False
         assert passed == (op_norm(A) < 1.0)
     with pytest.raises(NormTooLarge):
-        _require_contraction(mat2(1e308 + 1e308j, 0, 0, 0))  # abs overflows
+        # |1e308(1 + i)| = 1.41e308 is finite: op_norm's verdict, no overflow
+        _require_contraction(mat2(1e308 + 1e308j, 0, 0, 0))
     for bad in (np.nan, np.inf):
         with pytest.raises(BadShape):
             _require_contraction(mat2(bad, 0, 0, 0))

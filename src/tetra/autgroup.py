@@ -24,7 +24,7 @@ from .errors import (
     OutsideDisc,
     Pole,
 )
-from .tetrablock import CPoint3, _act_left, _margins, _tri, _validated, as_cpoint3
+from .tetrablock import CPoint3, _act_left, _c3_margins, _tri, _validated, as_cpoint3
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -143,12 +143,13 @@ def _triangular_base(pt, name: str) -> CPoint3:
     """The point of pt, from ``_validated``, if triangular and in E, else
     NotTriangular or Outside naming ``name``: E meets {x3 = x1 x2} in the
     bidisc, tested first so that the c3 margins (m3, m3p) cannot overflow."""
-    x1, x2, x3, a1, a2, a3 = pt
+    x1, x2, x3, a1, a2, _ = pt
     tri, crd = _tri(*pt)
     if not tri:
         raise NotTriangular(f"x1*x2 - x3 = {x1 * x2 - x3}")
-    if a1 < 1.0 and a2 < 1.0 and min(_margins(a1, a2, a3, abs(x1 - x2.conjugate() * x3),
-            abs(x2 - x1.conjugate() * x3), crd)[:2]) > 0.0:
+    if a1 < 1.0 and a2 < 1.0 and min(_c3_margins(
+            a1 * a1, a2 * a2, abs(x1 - x2.conjugate() * x3),
+            abs(x2 - x1.conjugate() * x3), crd)) > 0.0:
         return pt[:3]
     raise Outside(f"{name} is not in the open domain")
 

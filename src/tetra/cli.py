@@ -270,7 +270,7 @@ def _cmd_boundary(args):
         n_samples = 200
         G, r = np.empty((n_samples, 2, 2), dtype=complex), np.empty(n_samples)
         for k in range(n_samples):
-            G[k] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            G[k].real, G[k].imag = rng.standard_normal((2, 2, 2))
             r[k] = rng.uniform(0.0, 1.0)
         A = G * (r / np.maximum(op_norm(G), 1e-12))[:, None, None]
         worst = max(0.0, *(abs(g(y)) for y in zip(*pi_map(A))))

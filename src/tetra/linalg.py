@@ -104,11 +104,13 @@ def _det(m11, m12, m21, m22):
     return _cmul(m11, m22) - _cmul(m12, m21)
 
 
-def _sv2_np(a, b, c, d):
+def _sv2_np(a, b, c, d, det=None):
     """:func:`tetra.tetrablock._sv2` of NumPy complex scalars or arrays, each
     element exactly its scalar result (products rounded by :func:`_cmul`);
-    within 2.5 eps relative on _sv2's pools, as np.abs rounds worse."""
-    det = _det(a, b, c, d)
+    within 2.5 eps relative on _sv2's pools, as np.abs rounds worse.  A
+    caller that holds ``_det(a, b, c, d)`` already passes it as det."""
+    if det is None:
+        det = _det(a, b, c, d)
     r = np.abs(det)
     zero = r == 0
     s = r + zero
@@ -117,13 +119,14 @@ def _sv2_np(a, b, c, d):
     return p + q
 
 
-def _sv2_ranged(M):
-    """:func:`_sv2_np` of a 2x2 matrix or of each matrix of a stack.  Where the
-    largest singular value comes out non-finite or below 2^-500 (det over-
-    or underflowed), it is redone on A 2^-e, 2^e the power of two just above
-    A's largest real or imaginary part, and scaled back; others are kept."""
+def _sv2_ranged(M, det=None):
+    """:func:`_sv2_np` of a 2x2 matrix or of each matrix of a stack, det as
+    there.  Where the largest singular value comes out non-finite or below
+    2^-500 (det over- or underflowed), it is redone on A 2^-e, 2^e the power
+    of two just above A's largest real or imaginary part, and scaled back;
+    others are kept."""
     with np.errstate(over="ignore", invalid="ignore"):
-        top = _sv2_np(*_entries(M))
+        top = _sv2_np(*_entries(M), det)
         redo = ~((top >= 2.0 ** -500) & (top < math.inf))
         if M.ndim == 3:
             for i in np.flatnonzero(redo):

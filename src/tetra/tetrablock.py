@@ -212,6 +212,11 @@ def _halves(a, b, c, d, phi, mul=operator.mul, mod=abs, hypot=math.hypot):
     return hypot(mod(a + u), mod(b - v)) / 2.0, hypot(mod(a - u), mod(b + v)) / 2.0
 
 
+def _c3_margins(s1, s2, cr12, cr21, crd):
+    """``(m3, m3p)`` of :func:`_margins` from ``s1 = |x1|^2, s2 = |x2|^2``."""
+    return (1.0 - s2) - (cr12 + crd), (1.0 - s1) - (cr21 + crd)
+
+
 def _margins(a1, a2, a3, cr12, cr21, crd):
     """Signed margins ``(m3, m3p, m4, m4p, m5, m6)`` of the quadratic
     criteria (3)-(6), positive strictly inside per each inequality, from the
@@ -222,13 +227,12 @@ def _margins(a1, a2, a3, cr12, cr21, crd):
     closure dilated by 1 +- 1e-12 to 1e-6: |x1|, |x2|, |x3| within 0.51 eps
     relative, the other moduli 0.54 eps and the margins 2.44 eps absolute,
     44.8 eps per unit slope where first order (six seeds: 2.68, 120 eps)."""
-    return (
-        (1.0 - a2 * a2) - (cr12 + crd),
-        (1.0 - a1 * a1) - (cr21 + crd),
-        1.0 - (a1 * a1 - a2 * a2 + a3 * a3 + 2.0 * cr21),
-        1.0 - (-a1 * a1 + a2 * a2 + a3 * a3 + 2.0 * cr12),
-        1.0 - (a1 * a1 + a2 * a2 - a3 * a3 + 2.0 * crd),
-        (1.0 - a3 * a3) - (cr12 + cr21),
+    s1, s2, s3 = a1 * a1, a2 * a2, a3 * a3
+    return _c3_margins(s1, s2, cr12, cr21, crd) + (
+        1.0 - (s1 - s2 + s3 + 2.0 * cr21),
+        1.0 - (-s1 + s2 + s3 + 2.0 * cr12),
+        1.0 - (s1 + s2 - s3 + 2.0 * crd),
+        (1.0 - s3) - (cr12 + cr21),
     )
 
 

@@ -198,6 +198,31 @@ def test_boundary_on_and_off(capsys):
     assert doc2["on_boundary"] is False and doc2["peak"] is None
 
 
+def test_boundary_samples_are_the_two_call_construction(capsys, monkeypatch):
+    # each peak-audit sample draws its real and imaginary parts in one
+    # (2, 2, 2) call: its 200 matrices, and the radii that scale them, are
+    # those of two (2, 2) draws and a complex sum, bit for bit
+    from tetra import linalg
+
+    seen = {}
+
+    def spy(name):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda A: fn(seen.setdefault(name, A.copy())))
+
+    spy("op_norm")
+    spy("pi_map")
+    check(capsys, "boundary", "boundary", "--point", "[[0,1], [0,-1], 1]")
+    rng = np.random.default_rng(0)
+    G, r = np.empty((200, 2, 2), dtype=complex), np.empty(200)
+    for k in range(200):
+        G[k] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        r[k] = rng.uniform(0.0, 1.0)
+    A = G * (r / np.maximum(linalg.op_norm(G), 1e-12))[:, None, None]
+    assert seen["op_norm"].tobytes() == G.tobytes()
+    assert seen["pi_map"].tobytes() == A.tobytes()
+
+
 def test_auto_ops(capsys):
     doc = check(
         capsys, "auto", "auto", "--op", "diamond",

@@ -15,7 +15,8 @@ The library reaches ``numpy.linalg`` (LAPACK) at the sites listed in
 ``LAPACK_SITES`` only, which keeps eigensolvers off the solve path, and
 ``cli.run`` alone writes a document's ``command`` and ``provenance``.  The
 synthesis lifts and the lift helpers they evaluate (``NO_MATMUL``) contain no
-``@``.  The domain layer (``DOMAIN``) imports no NumPy-backed module at module
+``@``, and the interpolant audit calls neither ``pi_map`` nor ``op_norm``
+(``NOT_CALLED``).  The domain layer (``DOMAIN``) imports no NumPy-backed module at module
 level, so the commands that use only it never load NumPy; nor does ``musyn``,
 whose ``mu_diag`` is plain complex arithmetic.  Those modules, ``cli`` and
 ``tetra/__init__`` (``RECORD_FREE``) import neither ``dataclasses`` nor
@@ -273,6 +274,42 @@ def test_the_check_sees_a_matmul():
         "    return G * 2\n"
     )
     assert matmul_sites(source) == {"lift": True, "scale": True, "plain": False}
+
+
+# the audit validates its lift stack and forms its determinant once; each of
+# these re-validates the stack and forms the determinant again
+NOT_CALLED = {"interpolate.py": {"verify_interpolant": {"pi_map", "op_norm"}}}
+
+
+def called_names(source: str) -> dict[str, set[str]]:
+    """Each top-level function of a module, and the names it calls (a bare
+    name or an attribute), nested functions included."""
+    return {
+        top.name: {
+            getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in ast.walk(top) if isinstance(n, ast.Call)
+        }
+        for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)
+    }
+
+
+@pytest.mark.parametrize("name", NOT_CALLED)
+def test_the_audit_reads_its_lift_stack_once(name):
+    calls = called_names(next(p for p in SRC if p.name == name).read_text())
+    assert {f: calls[f] & banned for f, banned in NOT_CALLED[name].items()} == {
+        f: set() for f in NOT_CALLED[name]}
+
+
+def test_the_check_sees_a_call():
+    source = (
+        "def audit(F):\n"
+        "    def inner(G):\n"
+        "        return linalg.op_norm(G)\n"
+        "    return pi_map(F), inner(F)\n"
+        "def plain(F):\n"
+        "    return F\n"
+    )
+    assert called_names(source) == {"audit": {"op_norm", "pi_map", "inner"}, "plain": set()}
 
 
 ENVELOPE = ("command", "provenance")

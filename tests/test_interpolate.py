@@ -1,7 +1,10 @@
 import cmath
 import collections
+import dataclasses
 import json
 import math
+import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -44,11 +47,19 @@ from tetra.linalg import eigvals_herm2, mat2, op_norm, pi_map
 from tetra.metrics import pseudohyperbolic
 from tetra.cli import run
 from tetra.musyn import SynthesisInstance, mu_diag, synth_two_point
-from tetra.tetrablock import construct_matrix_rep, criterion_max, is_triangular, membership
+from tetra.tetrablock import (
+    _margins,
+    construct_matrix_rep,
+    criterion_max,
+    is_triangular,
+    membership,
+)
 
 from conftest import random_disc, random_feasible_instance, random_point_in_e
 from test_distance_oracle import c_T
 
+BENCH = pathlib.Path(__file__).parent.parent / "bench"
+EPS = np.finfo(float).eps
 GOLD_X = (0.5, 0.25, 0.5)
 GOLD_L0 = -0.8
 GOLD_W = math.sqrt(0.46875)  # principal root of (ab - p)/lambda0 = 15/32
@@ -772,9 +783,8 @@ def test_lift_rejects_a_point_outside_the_disc():
         assert str(point.value) == str(stack.value)
 
 
-def audit_oracle(phi, samples=500, seed=0, tol=1e-9):
-    """The per-sample audit: for each sample point one lift, one value, one
-    closed membership report and one operator norm."""
+def audit_lams(samples, seed):
+    """verify_interpolant's sample points: the same draws in the same order."""
     rng = np.random.default_rng(seed)
     n = int(samples)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -782,8 +792,13 @@ def audit_oracle(phi, samples=500, seed=0, tol=1e-9):
     half = n // 2
     radii[:half] = np.sqrt(rng.uniform(0.0, 1.0, half))
     radii[half:] = 1.0 - 10.0 ** rng.uniform(-4.0, -1.0, n - half)
-    lams = radii * np.exp(1j * angles)
+    return radii * np.exp(1j * angles)
 
+
+def audit_oracle(phi, samples=500, seed=0, tol=1e-9):
+    """The per-sample audit: for each sample point one lift, one value, one
+    closed membership report and one operator norm."""
+    lams = audit_lams(samples, seed)
     worst_margin = worst_norm = worst_consistency = 0.0
     for lam in lams:
         F = phi.lift_evaluate(lam)
@@ -825,6 +840,100 @@ def test_verify_interpolant_agrees_with_per_sample_oracle(rng):
             verdicts.add(rep["passed"])
             checked += 1
     assert checked >= 60 and verdicts == {True, False}
+
+
+def audit_from_public_pieces(phi, samples, seed, tol):
+    """verify_interpolant's report from pi_map, _margins and op_norm on the
+    audit's own sample stack, the samples followed by 0 and lambda0."""
+    n = samples
+    F = phi.lift_evaluate(np.append(audit_lams(n, seed), [0.0, phi.lambda0]))
+    x = pi_map(F)
+    x1, x2, x3 = (c[:n] for c in x)
+    m3, m3p, *_ = _margins(abs(x1), abs(x2), abs(x3), abs(x1 - x2.conjugate() * x3),
+                           abs(x2 - x1.conjugate() * x3), abs(x1 * x2 - x3))
+    fields = {
+        "endpoint_zero": float(max(abs(c[n]) for c in x)),
+        "endpoint_target": float(max(abs(c[n + 1] - d) for c, d in zip(x, phi.x))),
+        "margin_violation": float(np.max(-np.minimum(m3, m3p), initial=0.0)),
+        "lift_norm_excess": float(np.max(op_norm(F[:n]) - 1.0, initial=0.0)),
+        "zero_column": float(np.max(np.abs(F[n, :, 0]))),
+    }
+    return dict(fields, passed=max(fields.values()) <= tol, samples=n, seed=seed,
+                tol=tol, lift_consistency=0.0)
+
+
+def test_verify_interpolant_is_its_public_pieces_bit_for_bit(rng):
+    # every field equal (== on floats) to pi_map, _margins and op_norm on the
+    # same stack, for each variant and branch, flipped targets included
+    verdicts = set()
+    for seed in (0, 17):
+        for phi in every_variant(rng):
+            for samples in (1, 2, 500):
+                for tol in (1e-9, 1e-16):
+                    rep = verify_interpolant(phi, samples=samples, seed=seed, tol=tol)
+                    ref = audit_from_public_pieces(phi, samples, seed, tol)
+                    assert rep.to_dict() == ref, (phi.variant, phi.mode, samples, seed)
+                    verdicts.add(rep.passed)
+    assert verdicts == {True, False}
+    # a lift with a non-finite entry is refused as the stack's validation
+    # refuses it
+    phi = solve_schwarz(-0.9, GOLD_X)
+    bad = dataclasses.replace(phi, _lift=lambda lam: np.full(np.shape(lam) + (2, 2), np.nan))
+    with pytest.raises(BadShape, match="matrix entries must be finite"):
+        verify_interpolant(bad, samples=4)
+
+
+def certified_norm_bound(phi, lams):
+    """Each variant's closed-form bound on ||F(lam)|| at the points lams:
+    ||Z|| on the scaled line; max(|a|, |b|)/|lambda0| on the diagonal, where
+    F = lam Z; max(c, |g(lam)|) for svd_reduced, F = U diag(c, g) Vh
+    diag(lam, 1); and for the Moebius transport (sigma family included) 1
+    where big_m's identity gives ||v|| <= |lambda0| ||u||, as M_{-Z} maps
+    the closed unit ball onto itself (inf where it does not)."""
+    if phi.variant == "scaled_line":
+        if phi.mode == "line":
+            bound = op_norm(phi.Z)
+        else:
+            bound = max(abs(phi.x[0]), abs(phi.x[1])) / abs(phi.lambda0)
+    elif phi.variant == "svd_reduced":
+        c = min(float(np.linalg.svd(phi.Z, compute_uv=False)[0]), 1.0)
+        return np.maximum(c, np.abs(scalar_np2(*phi._scalar_params)(lams)))
+    else:
+        u, v = np.linalg.norm(phi.u), np.linalg.norm(phi.v)
+        bound = 1.0 if v <= abs(phi.lambda0) * u else math.inf
+    return np.full(lams.size, bound)
+
+
+def test_the_construction_bounds_the_audited_lift_norm():
+    # each interpolant's construction certifies its lift norm: on the
+    # interp_audit pools of seeds 1-2 and acceptance-5-style instances the
+    # 500-sample audit never reports more than the closed-form bound allows,
+    # and no sampled norm passes it by more than a few roundings
+    sys.path.insert(0, str(BENCH))
+    try:
+        from tetrabench.workloads import InterpAudit
+    finally:
+        sys.path.remove(str(BENCH))
+    phis = []
+    for seed in (1, 2):
+        for mode, l0, x, param in InterpAudit(seed).pool:
+            if mode == "sigma":
+                phis.append(solve_with_sigma(l0, x, param))
+            elif mode != "infeasible":
+                phis.append(solve_schwarz(l0, x, t=param))
+    rng = np.random.default_rng(405)
+    phis += [solve_schwarz(*random_feasible_instance(rng, slack=0.9)) for _ in range(150)]
+    seen = collections.Counter()
+    for k, phi in enumerate(phis):
+        lams = audit_lams(500, k)
+        bound = certified_norm_bound(phi, lams)
+        assert bound.max() <= 1.0, (phi.variant, phi.mode)
+        slack = 1.0 + 8.0 * EPS
+        assert np.all(op_norm(phi.lift_evaluate(lams)) <= bound * slack)
+        rep = verify_interpolant(phi, samples=500, seed=k)
+        assert rep.lift_norm_excess <= max(bound.max() * slack - 1.0, 0.0)
+        seen[phi.variant, phi.mode, phi.flipped] += 1
+    assert len(seen) == 7 and min(seen.values()) >= 60, seen
 
 
 def mobius_targets(rng):
